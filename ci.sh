@@ -52,14 +52,11 @@ wait "$NETD_PID"
 grep -q "drained and stopped" "$SMOKE/netd.log"
 # Network batch mode: 4 clients against a capped in-process server,
 # byte-identical to the cold in-process payloads. The default drive is
-# v2 sequential sessions; --wire-v1 and --pipeline cover the legacy
-# client path and the many-in-flight v2 path, and all three must agree
-# byte for byte (each run keeps the in-flight cap low enough to
-# exercise its Busy/backpressure path).
+# sequential sessions; --pipeline covers the many-in-flight path, and
+# both must agree byte for byte (each run keeps the in-flight cap low
+# enough to exercise its Busy/backpressure path).
 "$BATCH" --jobs 4 --out "$SMOKE/net" "$SMOKE/work"
 diff -r "$SMOKE/net" "$SMOKE/cold"
-"$BATCH" --jobs 4 --wire-v1 --out "$SMOKE/net-v1" "$SMOKE/work"
-diff -r "$SMOKE/net-v1" "$SMOKE/net"
 "$BATCH" --jobs 4 --pipeline --out "$SMOKE/net-pipe" "$SMOKE/work"
 diff -r "$SMOKE/net-pipe" "$SMOKE/net"
 
@@ -109,23 +106,26 @@ cmp "$SMOKE/det1.txt" "$SMOKE/det0.txt"
 echo "== tpi-bench --gain-model scoap (byte-identical across threads 1/2/0 and engines) =="
 "$BENCH" --gain-model scoap
 
-echo "== tpi-bench sweep (emits BENCH_PR4.json) =="
-"$BENCH" --emit-bench BENCH_PR4.json
+# The bench files go to the scratch dir: the committed BENCH_PR*.json
+# are recorded measurements, not something every CI run rewrites. The
+# gates inside tpi-bench still fail CI.
+echo "== tpi-bench sweep =="
+"$BENCH" --emit-bench "$SMOKE/bench-sweep.json"
 
 echo "== lane-engine equivalence (release, includes the 10k-gate circuit) =="
 cargo test -q --release -p tpi-core --test lane_equiv -- --include-ignored
 
-echo "== tpi-bench --large: gen50k lane-engine gates (emits BENCH_PR6.json) =="
+echo "== tpi-bench --large: gen50k lane-engine gates =="
 # Fails if selections/deterministic sections differ between the scalar
 # and lane engines or across --threads 1/2/0, or if tpgreed at
 # --threads 0 is >15% slower than --threads 1 (the parallel-slowdown
 # regression this PR fixes).
-"$BENCH" --large --emit-bench BENCH_PR6.json
+"$BENCH" --large --emit-bench "$SMOKE/bench-large.json"
 
-echo "== tpi-bench --net: v1 vs v2 loopback throughput (emits BENCH_PR9.json) =="
+echo "== tpi-bench --net: session loopback throughput =="
 # The 1k-connection thread-bound + Busy/backpressure test itself runs in
 # the tier-1 suite above (tests/net.rs); this produces the req/s numbers.
-"$BENCH" --net --emit-bench BENCH_PR9.json
+"$BENCH" --net --emit-bench "$SMOKE/bench-net.json"
 
 echo "== tpi-bench --gen-scale: industrial generator linearity gate =="
 # Fails if the 500k-gate design costs >4x the ns/gate of the 125k one

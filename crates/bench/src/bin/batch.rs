@@ -21,12 +21,10 @@
 //! submits every job through `N` concurrent `tpi-net/v2` sessions
 //! (one request in flight per session; add `--pipeline` to submit
 //! every request up front and collect completions out of order with
-//! `wait_any`; add `--wire-v1` for the legacy one-connection-per-call
-//! v1 client instead). The server's caps are deliberately set *below*
-//! the offered load (`max(1, ⌈N/2⌉)` v1 connections and v2 in-flight
-//! requests), so every variant exercises its `Busy` → seeded-backoff
-//! retry loop — the same backpressure path a saturated production
-//! server would take. Results and summary lines are the same in every
+//! `wait_any`). The server's in-flight cap is deliberately set *below*
+//! the offered load (`max(1, ⌈N/2⌉)` requests), so both variants
+//! exercise the `Busy` → seeded-backoff retry loop — the same
+//! backpressure path a saturated production server would take. Results and summary lines are the same in every
 //! mode; so are the payload bytes (that is the protocol's contract).
 //!
 //! Gateway mode (`--gateway N`): starts `N` in-process `tpi-netd`
@@ -61,8 +59,7 @@ use tpi_bench::{ArgCursor, Cli};
 use tpi_core::PartialScanMethod;
 use tpi_gateway::{Gateway, GatewayConfig, GatewayHandler};
 use tpi_net::{
-    Client, ClientConfig, Connection, NetServer, Pending, ServerConfig, ServerHandle, WireRequest,
-    WireVersion,
+    ClientConfig, Connection, NetServer, Pending, ServerConfig, ServerHandle, WireRequest,
 };
 use tpi_netlist::{write_bench, write_blif};
 use tpi_serve::{JobService, JobSpec, JobStatus, MetricsSnapshot, NetlistSource, ServiceConfig};
@@ -70,7 +67,7 @@ use tpi_workloads::{generate, iscas, smoke_suite, suite};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: tpi-batch [--threads N] [--jobs N [--pipeline | --wire-v1]] \
+        "usage: tpi-batch [--threads N] [--jobs N [--pipeline]] \
          [--gateway N [--kill-one]] \
          [--cache-dir DIR] [--out DIR] [--deadline-ms M] DIR"
     );
@@ -81,9 +78,6 @@ fn usage() -> ! {
 /// How the network modes put requests on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NetMode {
-    /// Legacy v1 client: one connection per call, strict
-    /// request/response (the byte-identity reference).
-    V1,
     /// One persistent v2 session per worker, one request in flight at
     /// a time.
     V2,
@@ -129,7 +123,6 @@ fn main() {
             }
             "--kill-one" => kill_one = true,
             "--pipeline" => mode = NetMode::V2Pipelined,
-            "--wire-v1" => mode = NetMode::V1,
             "--out" => out_dir = Some(PathBuf::from(it.value("--out"))),
             "--deadline-ms" => {
                 let ms: u64 = it.parsed_value("--deadline-ms", "a non-negative integer");
@@ -199,7 +192,6 @@ fn main() {
     };
     let connections = jobs.unwrap_or(4);
     let mode_label = match mode {
-        NetMode::V1 => " [wire v1]",
         NetMode::V2 => "",
         NetMode::V2Pipelined => " [pipelined]",
     };
@@ -393,10 +385,9 @@ fn run_in_process(service: &JobService, texts: Vec<String>) -> Vec<Row> {
         .collect()
 }
 
-/// Submits every job through `jobs` concurrent sessions (or v1
-/// clients) against an in-process `tpi-netd`. The server's caps are
-/// `max(1, ⌈jobs/2⌉)` — v1 connections and v2 in-flight requests
-/// alike — so with more than one worker the mode's `Busy` → retry
+/// Submits every job through `jobs` concurrent sessions against an
+/// in-process `tpi-netd`. The server's in-flight cap is
+/// `max(1, ⌈jobs/2⌉)`, so with more than one worker the `Busy` → retry
 /// backpressure path genuinely runs.
 fn run_over_network(
     service: &Arc<JobService>,
@@ -407,7 +398,7 @@ fn run_over_network(
 ) -> Vec<Row> {
     let cap = jobs.div_ceil(2).max(1);
     let server = NetServer::bind(
-        ServerConfig { max_connections: cap, max_inflight: cap, ..ServerConfig::default() },
+        ServerConfig { max_inflight: cap, ..ServerConfig::default() },
         Arc::clone(service),
     )
     .unwrap_or_else(|e| {
@@ -467,7 +458,7 @@ fn run_over_gateway(
         Arc::new(Gateway::new(GatewayConfig { backends: addrs, ..GatewayConfig::default() }));
     let gw_cap = jobs.div_ceil(2).max(1);
     let gw_server = NetServer::bind_with(
-        ServerConfig { max_connections: gw_cap, max_inflight: gw_cap, ..ServerConfig::default() },
+        ServerConfig { max_inflight: gw_cap, ..ServerConfig::default() },
         GatewayHandler::new(Arc::clone(&gateway)),
     )
     .unwrap_or_else(|e| {
@@ -546,14 +537,7 @@ fn drive_clients(
                 (Arc::clone(&requests), Arc::clone(&next), Arc::clone(&rows), Arc::clone(&kill));
             let addr = addr.to_string();
             std::thread::spawn(move || {
-                let config = ClientConfig {
-                    seed: w as u64 + 1,
-                    wire: match mode {
-                        NetMode::V1 => WireVersion::V1,
-                        _ => WireVersion::V2,
-                    },
-                    ..ClientConfig::default()
-                };
+                let config = ClientConfig { seed: w as u64 + 1, ..ClientConfig::default() };
                 let push = |i: usize, row: Row| {
                     rows.lock().expect("rows lock never poisoned").push((i, row));
                     if let Some(victim) = kill.lock().expect("kill lock never poisoned").take() {
@@ -561,7 +545,6 @@ fn drive_clients(
                     }
                 };
                 match mode {
-                    NetMode::V1 => drive_v1(&addr, config, &requests, &next, push),
                     NetMode::V2 => drive_sequential(&addr, config, &requests, &next, push),
                     NetMode::V2Pipelined => drive_pipelined(&addr, config, &requests, &next, push),
                 }
@@ -585,27 +568,6 @@ fn drive_clients(
 fn claim(next: &std::sync::atomic::AtomicUsize, total: usize) -> Option<usize> {
     let i = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
     (i < total).then_some(i)
-}
-
-/// The legacy path: one `tpi-net/v1` connection per call via the
-/// deprecated one-shot client — kept runnable so the CI byte-identity
-/// gate can diff its outputs against the v2 sessions.
-fn drive_v1(
-    addr: &str,
-    config: ClientConfig,
-    requests: &[WireRequest],
-    next: &std::sync::atomic::AtomicUsize,
-    push: impl Fn(usize, Row),
-) {
-    let client = Client::with_config(addr.to_string(), config);
-    while let Some(i) = claim(next, requests.len()) {
-        #[allow(deprecated)]
-        let row = match client.submit(&requests[i]) {
-            Ok(r) => Row::from_wire(r),
-            Err(e) => Row::from_net_error(&e),
-        };
-        push(i, row);
-    }
 }
 
 /// One persistent v2 session, one request in flight at a time.

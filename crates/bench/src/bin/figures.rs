@@ -8,10 +8,10 @@
 
 use tpi_bench::Cli;
 use tpi_core::flow::FullScanFlow;
-use tpi_core::region::Region;
 use tpi_core::tpgreed::{TpGreed, TpGreedConfig};
 use tpi_core::tptime::{PlanAction, ScanPlanner};
 use tpi_core::{assign_inputs, enumerate_paths};
+use tpi_netlist::region::Region;
 use tpi_netlist::TechLibrary;
 use tpi_sim::{Implication, Trit};
 use tpi_workloads::figures;

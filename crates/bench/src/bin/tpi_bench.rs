@@ -38,11 +38,10 @@
 //!   `tpi-soak`'s cold lane and the 1M-gate workloads unusable) or if
 //!   any design misses its gate target by more than 20%.
 //! * `--net` — the `tpi-net/v2` loopback throughput benchmark: an
-//!   in-process `tpi-netd` serving cache-warm `s27` jobs, driven by
-//!   the legacy v1 one-connection-per-call client, a v2 session one
-//!   request at a time, and a v2 session fully pipelined. Prints req/s
-//!   for each plus p50/p99 ping frame latency; with `--emit-bench`,
-//!   writes the `tpi-bench-net/v1` JSON (this is what produces
+//!   in-process `tpi-netd` serving cache-warm `s27` jobs, driven by a
+//!   session one request at a time and a session fully pipelined.
+//!   Prints req/s for each plus p50/p99 ping frame latency; with
+//!   `--emit-bench`, writes the `tpi-bench-net/v1` JSON (the format of
 //!   `BENCH_PR9.json`).
 //!
 //! Exit status: `1` if any flow fails, any deterministic section
@@ -314,14 +313,14 @@ fn large_mode(emit_bench: Option<String>) {
     }
 }
 
-/// `--net` mode: warm-loopback throughput of the three wire paths plus
+/// `--net` mode: warm-loopback throughput of the two session paths plus
 /// ping frame latency. Everything is in-process: one `tpi-netd` poll
 /// loop, one single-worker service, `s27` submitted repeatedly so all
 /// but the first job is a memory cache hit — the numbers measure the
 /// *protocol*, not TPGREED.
 fn net_mode(emit_bench: Option<String>) {
     use std::sync::Arc;
-    use tpi_net::{Client, ClientConfig, Connection, ServerConfig, WireRequest, WireVersion};
+    use tpi_net::{Connection, ServerConfig, WireRequest};
     use tpi_serve::{JobService, JobStatus, ServiceConfig};
 
     let service = Arc::new(JobService::new(ServiceConfig { threads: 1, ..Default::default() }));
@@ -353,22 +352,7 @@ fn net_mode(emit_bench: Option<String>) {
         Err(e) => die("warmup", &e),
     }
 
-    // Path 1: legacy v1 — TCP connect + one frame exchange per request.
-    let v1_n: usize = 300;
-    let client = Client::with_config(
-        addr.clone(),
-        ClientConfig { wire: WireVersion::V1, ..ClientConfig::default() },
-    );
-    let t0 = Instant::now();
-    for _ in 0..v1_n {
-        #[allow(deprecated)]
-        if let Err(e) = client.submit(&req) {
-            die("v1 submit", &e);
-        }
-    }
-    let v1_rate = v1_n as f64 / t0.elapsed().as_secs_f64();
-
-    // Path 2: one v2 session, one request in flight at a time.
+    // Path 1: one session, one request in flight at a time.
     let v2_n: usize = 2000;
     let t0 = Instant::now();
     for _ in 0..v2_n {
@@ -378,7 +362,7 @@ fn net_mode(emit_bench: Option<String>) {
     }
     let v2_rate = v2_n as f64 / t0.elapsed().as_secs_f64();
 
-    // Path 3: one v2 session, everything submitted before anything is
+    // Path 2: one session, everything submitted before anything is
     // collected — the pipelining the request IDs exist for.
     let pipe_n: usize = 4000;
     let t0 = Instant::now();
@@ -410,7 +394,6 @@ fn net_mode(emit_bench: Option<String>) {
     println!("tpi-bench --net: warm s27 over loopback, single-worker service");
     println!("{:<26} | {:>12} | {:>8}", "path", "requests", "req/s");
     println!("{}", "-".repeat(52));
-    println!("{:<26} | {:>12} | {:>8.0}", "v1 connection-per-call", v1_n, v1_rate);
     println!("{:<26} | {:>12} | {:>8.0}", "v2 session, sequential", v2_n, v2_rate);
     println!("{:<26} | {:>12} | {:>8.0}", "v2 session, pipelined", pipe_n, pipe_rate);
     println!("ping frame latency: p50 {p50} µs, p99 {p99} µs");
@@ -419,8 +402,6 @@ fn net_mode(emit_bench: Option<String>) {
         let mut root = JsonObject::new();
         root.field_str("schema", "tpi-bench-net/v1")
             .field_str("workload", "s27 full-scan, memory-warm")
-            .field_u64("v1_requests", v1_n as u64)
-            .field_str("v1_req_per_s", &format!("{v1_rate:.0}"))
             .field_u64("v2_sequential_requests", v2_n as u64)
             .field_str("v2_sequential_req_per_s", &format!("{v2_rate:.0}"))
             .field_u64("v2_pipelined_requests", pipe_n as u64)

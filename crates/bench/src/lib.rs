@@ -7,12 +7,7 @@
 //! (who wins, by roughly what factor) is immediate. See `EXPERIMENTS.md`
 //! at the repository root for recorded runs.
 
-/// Re-export of the shared CLI dialect, which moved to [`tpi_net`]
-/// when the network binaries started using it too. The historical
-/// `tpi_bench::cli::` paths keep working.
-pub use tpi_net::cli;
-
-pub use cli::{parse_threads, ArgCursor, Cli};
+pub use tpi_net::cli::{parse_threads, ArgCursor, Cli};
 
 use tpi_core::report::Table1Row;
 

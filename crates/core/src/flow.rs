@@ -60,8 +60,8 @@ impl fmt::Display for FlushFailure {
     }
 }
 
-/// Errors from the checked flow entry points ([`FullScanFlow::run_checked`],
-/// [`PartialScanFlow::run_checked`]).
+/// Errors from the fallible flow entry points ([`FullScanFlow::run_with`],
+/// [`PartialScanFlow::run_with`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlowError {
     /// The run was stopped at an iteration boundary by its [`Progress`]
@@ -177,16 +177,6 @@ impl Default for FullScanFlow {
     }
 }
 
-impl FullScanFlow {
-    /// Sets the worker-thread knob (`0` = all hardware threads). Results
-    /// are identical for every setting; see [`TpGreedConfig::threads`].
-    #[deprecated(since = "0.2.0", note = "use `FlowOptions::with_threads` with `run_with`")]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-}
-
 /// Everything the full-scan flow produces.
 #[derive(Debug)]
 pub struct FullScanResult {
@@ -264,16 +254,6 @@ impl FullScanFlow {
         let mut r = outcome?;
         r.metrics = rec.finish();
         Ok(r)
-    }
-
-    /// Like [`run`](Self::run), but cooperative and fallible.
-    #[deprecated(since = "0.2.0", note = "use `run_with` with `FlowOptions::with_progress`")]
-    pub fn run_checked(
-        &self,
-        n: &Netlist,
-        progress: &Arc<Progress>,
-    ) -> Result<FullScanResult, FlowError> {
-        self.run_with(n, &FlowOptions::new().with_progress(Arc::clone(progress)))
     }
 
     fn run_impl(
@@ -472,13 +452,6 @@ impl PartialScanFlow {
     pub fn new(method: PartialScanMethod) -> Self {
         PartialScanFlow { method, lib: TechLibrary::paper(), threads: 1 }
     }
-
-    /// Sets the worker-thread knob (`0` = all hardware threads).
-    #[deprecated(since = "0.2.0", note = "use `FlowOptions::with_threads` with `run_with`")]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
 }
 
 /// What one `selection_loop` round did: the flip-flop it scanned (if
@@ -557,16 +530,6 @@ impl PartialScanFlow {
         let mut r = outcome?;
         r.metrics = rec.finish();
         Ok(r)
-    }
-
-    /// Like [`run`](Self::run), but cooperative and fallible.
-    #[deprecated(since = "0.2.0", note = "use `run_with` with `FlowOptions::with_progress`")]
-    pub fn run_checked(
-        &self,
-        n: &Netlist,
-        progress: &Arc<Progress>,
-    ) -> Result<PartialScanResult, FlowError> {
-        self.run_with(n, &FlowOptions::new().with_progress(Arc::clone(progress)))
     }
 
     fn run_impl(
@@ -1057,23 +1020,6 @@ mod tests {
         FullScanFlow::default().run_with(&n, &opts).expect("flow succeeds");
         let m = rec.finish();
         assert_eq!(m.span_count(phases::FULL_SCAN), 2, "one root per run");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_forwarders_still_work() {
-        let n = mixed_circuit();
-        let progress = Arc::new(Progress::new());
-        let full = FullScanFlow::default()
-            .with_threads(2)
-            .run_checked(&n, &progress)
-            .expect("forwarder reaches run_with");
-        assert!(full.flush.passed());
-        let tp = PartialScanFlow::new(PartialScanMethod::TpTime)
-            .with_threads(2)
-            .run_checked(&n, &Arc::new(Progress::new()))
-            .expect("forwarder reaches run_with");
-        assert!(tp.acyclic);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!   incremental-gain variants (§III.C);
 //! * [`input_assign`] — realizing test-point constants for free via
 //!   primary-input values (§III.B, in the spirit of ref. \[13\]);
-//! * [`region`] — the *non-reconvergent fanin region* (§IV.A, Def. 1);
+//! * [`tpi_netlist::region`] — the *non-reconvergent fanin region*
+//!   (§IV.A, Def. 1), kept with the netlist so `tpi-lint` can verify
+//!   placements without a dependency cycle;
 //! * [`tptime`] — the timing-driven recursive cost functions of
 //!   Equations 2–4 with desired/side-effect constant tracking (§IV.A);
 //! * [`flow`] — end-to-end flows: [`flow::FullScanFlow`] (Table I) and
@@ -41,10 +43,6 @@ pub mod options;
 pub mod paths;
 pub mod phases;
 pub mod progress;
-/// Non-reconvergent fanin regions, re-exported from `tpi-netlist` (the
-/// module moved there so `tpi-lint` can verify placements without a
-/// dependency cycle).
-pub use tpi_netlist::region;
 pub mod report;
 pub mod tpgreed;
 pub mod tptime;

@@ -35,7 +35,7 @@ use tpi_obs::Recorder;
 /// # Precedence rules
 ///
 /// * **Threads**: [`FlowOptions::with_threads`] overrides the flow's own
-///   (deprecated) thread knob; unset, the flow's configuration applies.
+///   thread knob; unset, the flow's configuration applies.
 /// * **Progress vs deadline**: an explicit [`FlowOptions::with_progress`]
 ///   token wins — its own deadline (if any) governs, and
 ///   [`FlowOptions::with_deadline`] is ignored, because [`Progress`]

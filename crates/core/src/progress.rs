@@ -34,7 +34,7 @@ pub enum CancelKind {
 }
 
 /// Error returned by [`Progress::checkpoint`] and propagated out of the
-/// flows' `run_checked` entry points when a run is stopped early.
+/// flows' `run_with` entry points when a run is stopped early.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Canceled {
     /// What stopped the run.

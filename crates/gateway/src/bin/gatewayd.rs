@@ -5,11 +5,10 @@
 //! tpi-gatewayd --backend HOST:PORT [--backend HOST:PORT ...]
 //!              [--backends HOST:PORT,HOST:PORT,...]
 //!              [--addr HOST:PORT] [--addr-file PATH]
-//!              [--max-connections N] [--replicas N]
-//!              [--health-interval-ms N] [--seed N]
+//!              [--replicas N] [--health-interval-ms N] [--seed N]
 //! ```
 //!
-//! Speaks the same `tpi-net/v1` protocol as `tpi-netd`, so `tpi-cli`
+//! Speaks the same `tpi-net/v2` protocol as `tpi-netd`, so `tpi-cli`
 //! and `tpi-batch --jobs` point at it unchanged. Jobs route by the
 //! content-addressed cache key over a consistent-hash ring; a dead
 //! backend fails over to its ring successor; `--metrics` serves the
@@ -60,19 +59,12 @@ fn main() {
                 );
             }
             "--seed" => gw.seed = args.parsed_value("--seed", "a u64 seed"),
-            "--max-connections" => {
-                net.max_connections = args.parsed_value("--max-connections", "a positive integer");
-                if net.max_connections == 0 {
-                    eprintln!("--max-connections must be at least 1");
-                    exit(2);
-                }
-            }
             other => {
                 eprintln!(
                     "unknown argument {other:?}\n\
                      usage: tpi-gatewayd --backend HOST:PORT [--backend HOST:PORT ...] \
-                     [--addr HOST:PORT] [--addr-file PATH] [--max-connections N] \
-                     [--replicas N] [--health-interval-ms N] [--seed N]"
+                     [--addr HOST:PORT] [--addr-file PATH] [--replicas N] \
+                     [--health-interval-ms N] [--seed N]"
                 );
                 exit(2);
             }

@@ -1,6 +1,6 @@
 //! The [`FrameHandler`] that makes a [`Gateway`] servable: plug it
 //! into [`tpi_net::NetServer::bind_with`] and the gateway speaks the
-//! same `tpi-net/v1`/`v2` protocol as a backend — clients cannot tell
+//! same `tpi-net/v2` protocol as a backend — clients cannot tell
 //! (and must not need to tell) whether `--addr` points at a `tpi-netd`
 //! or a `tpi-gatewayd`.
 
@@ -11,15 +11,14 @@ use tpi_par::{Threads, WorkerPool};
 
 /// Forward threads per gateway. A forward is network-bound (it blocks
 /// on a backend's report), so the pool is sized for concurrency, not
-/// cores; past this many in-flight forwards, v2 submissions queue in
-/// the pool and v1 submissions block their connection thread.
+/// cores; past this many in-flight forwards, submissions queue in the
+/// pool.
 const FORWARD_THREADS: usize = 8;
 
 /// Serves the gateway over [`tpi_net::NetServer`]. Submits forward
-/// through [`Gateway::submit`] (ring routing + failover) — on the
-/// calling thread for v1, on a small forward pool for pipelined v2
-/// submissions (a forward blocks on the backend, and the server's poll
-/// loop must never block on the network). Peer fetches forward to the
+/// through [`Gateway::submit`] (ring routing + failover) on a small
+/// forward pool (a forward blocks on the backend, and the server's
+/// poll loop must never block on the network). Peer fetches forward to the
 /// key's ring owner; metrics embed the `tpi-gateway-metrics/v1`
 /// snapshot.
 pub struct GatewayHandler {
@@ -47,10 +46,6 @@ fn forward(gateway: &Gateway, req: &WireRequest) -> (Verb, Vec<u8>) {
 }
 
 impl FrameHandler for GatewayHandler {
-    fn submit(&self, req: WireRequest) -> (Verb, Vec<u8>) {
-        forward(&self.gateway, &req)
-    }
-
     fn submit_async(&self, req: WireRequest, done: Box<dyn FnOnce(Verb, Vec<u8>) + Send>) {
         let gateway = Arc::clone(&self.gateway);
         self.forward.spawn(move || {

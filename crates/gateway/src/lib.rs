@@ -15,8 +15,8 @@
 //!   forwarding, failover to ring successors when a backend dies
 //!   mid-batch, and `tpi-gateway-metrics/v1` observability;
 //! * [`GatewayHandler`] — a [`tpi_net::FrameHandler`] that serves the
-//!   gateway over the same `tpi-net/v1` frame protocol as a backend,
-//!   so every existing client (`tpi-cli`, [`tpi_net::Client`],
+//!   gateway over the same `tpi-net/v2` frame protocol as a backend,
+//!   so every existing client (`tpi-cli`, [`tpi_net::Connection`],
 //!   `tpi-batch --jobs`) works against `tpi-gatewayd` unchanged.
 //!
 //! Rebalance cost is bounded by the **peer-fetch protocol**: forwarded

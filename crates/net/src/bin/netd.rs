@@ -2,15 +2,14 @@
 //!
 //! ```text
 //! tpi-netd [--addr HOST:PORT] [--addr-file PATH] [--threads N]
-//!          [--max-connections N] [--max-inflight N] [--cache-dir DIR]
+//!          [--max-inflight N] [--cache-dir DIR]
 //! ```
 //!
 //! `--addr` defaults to `127.0.0.1:0` (an ephemeral port); the bound
 //! address is printed to stdout and, with `--addr-file`, written to a
 //! file so scripts can discover the port without parsing logs.
-//! `--max-connections` caps concurrent `tpi-net/v1` connections;
-//! `--max-inflight` caps admitted-but-unfinished v2 requests (past it
-//! the server answers per-request `Busy`). The process exits after a
+//! `--max-inflight` caps admitted-but-unfinished requests (past it the
+//! server answers per-request `Busy`). The process exits after a
 //! client sends the `Shutdown` verb (`tpi-cli --shutdown`), draining
 //! in-flight jobs first.
 
@@ -32,13 +31,6 @@ fn main() {
             continue;
         }
         match arg.as_str() {
-            "--max-connections" => {
-                net.max_connections = args.parsed_value("--max-connections", "a positive integer");
-                if net.max_connections == 0 {
-                    eprintln!("--max-connections must be at least 1");
-                    exit(2);
-                }
-            }
             "--max-inflight" => {
                 net.max_inflight = args.parsed_value("--max-inflight", "a positive integer");
                 if net.max_inflight == 0 {
@@ -51,7 +43,7 @@ fn main() {
                 eprintln!(
                     "unknown argument {other:?}\n\
                      usage: tpi-netd [--addr HOST:PORT] [--addr-file PATH] [--threads N] \
-                     [--max-connections N] [--max-inflight N] [--cache-dir DIR]"
+                     [--max-inflight N] [--cache-dir DIR]"
                 );
                 exit(2);
             }
@@ -90,8 +82,8 @@ fn main() {
         eprintln!("tpi-netd: serve failed: {e}");
         exit(1);
     }
-    // `serve` returning means the connection threads (the only other
-    // Arc holders) are joined, so this unwrap succeeds and the service
+    // `serve` returning means the handler (the only other Arc holder)
+    // is dropped, so this unwrap succeeds and the service
     // drains its worker pool for the closing numbers.
     match Arc::try_unwrap(service) {
         Ok(service) => {

@@ -5,8 +5,7 @@
 //! that restricts what runs, and a handful of `--flag VALUE` pairs.
 //! This module holds that dialect in one place so the knobs spell —
 //! and misparse — the same everywhere. It lives in `tpi-net` (the
-//! lowest crate with binaries) and is re-exported by `tpi-bench` for
-//! its historical `tpi_bench::cli` path.
+//! lowest crate with binaries).
 
 use crate::client::ClientConfig;
 use std::process::exit;

@@ -1,12 +1,7 @@
-//! The retrying client for `tpi-netd`.
-//!
-//! Each call opens one connection, sends one request frame, reads one
-//! response frame, and closes — no pipelining state to desynchronize,
-//! and the server's per-connection slots churn fast enough for the
-//! [`Verb::Busy`] backpressure loop to make progress.
+//! Client configuration and errors for [`crate::session::Connection`].
 //!
 //! Retry policy: connection failures (refused / reset / timed out) and
-//! `Busy` frames are retried with exponential backoff plus
+//! `Busy` answers are retried with exponential backoff plus
 //! **seeded-deterministic jitter** until [`ClientConfig::retry_budget`]
 //! is spent. The jitter stream is a pure function of
 //! [`ClientConfig::seed`], so two runs of a test (or a batch worker
@@ -16,33 +11,14 @@
 //! already be running, and the caller decides whether resubmitting
 //! (idempotent thanks to the content-addressed cache) is worth it.
 
-use crate::frame::{read_frame, write_frame, FrameError, Verb, DEFAULT_MAX_FRAME};
-use crate::proto::{CacheAnswer, CacheLookup, ErrorInfo, ProtoError, WireReport, WireRequest};
-use crate::session::Connection;
+use crate::frame::{FrameError, Verb, DEFAULT_MAX_FRAME};
+use crate::proto::{ErrorInfo, ProtoError};
 use std::fmt;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::time::Duration;
 
-/// Which frame protocol a [`Client`] speaks on the wire.
-///
-/// The session API ([`crate::session::Connection`]) is v2-only; this
-/// selector exists for the deprecated one-shot [`Client`] calls, whose
-/// v2 default forwards each call over a single-use session. Pin
-/// [`WireVersion::V1`] to hold a client on the legacy one-connection-
-/// per-call protocol — the byte-identity gates in CI do exactly that
-/// to prove v1 and v2 answers agree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireVersion {
-    /// Legacy `tpi-net/v1`: one connection, one request, one response.
-    V1,
-    /// `tpi-net/v2`: request IDs, pipelining, streaming batches.
-    #[default]
-    V2,
-}
-
-/// Tuning for one [`Client`].
+/// Tuning for one [`crate::session::Connection`].
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Per-attempt connect timeout.
@@ -65,9 +41,6 @@ pub struct ClientConfig {
     pub seed: u64,
     /// Largest accepted response payload, in bytes.
     pub max_frame: u32,
-    /// Which frame protocol to speak (deprecated one-shot calls only;
-    /// sessions are v2 by construction).
-    pub wire: WireVersion,
 }
 
 impl Default for ClientConfig {
@@ -81,7 +54,6 @@ impl Default for ClientConfig {
             backoff_cap: Duration::from_millis(500),
             seed: 0x0709_15EE_DD06_F00D,
             max_frame: DEFAULT_MAX_FRAME,
-            wire: WireVersion::default(),
         }
     }
 }
@@ -166,199 +138,6 @@ impl From<ProtoError> for ClientError {
     }
 }
 
-/// A `tpi-netd` client: an address plus retry configuration. Cheap to
-/// construct; connections are per-call.
-pub struct Client {
-    addr: String,
-    config: ClientConfig,
-    /// xorshift64* state for the jitter stream.
-    rng: Mutex<u64>,
-}
-
-impl Client {
-    /// A client with default configuration.
-    pub fn new(addr: impl Into<String>) -> Self {
-        Client::with_config(addr, ClientConfig::default())
-    }
-
-    /// A client with explicit configuration.
-    pub fn with_config(addr: impl Into<String>, config: ClientConfig) -> Self {
-        let seed = if config.seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { config.seed };
-        Client { addr: addr.into(), config, rng: Mutex::new(seed) }
-    }
-
-    /// The configured server address.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Opens the single-use session a v2-mode one-shot call rides on.
-    fn single_use(&self) -> Result<Connection, ClientError> {
-        Connection::open_with(&self.addr, self.config.clone())
-    }
-
-    /// Submits a job and waits for its report.
-    #[deprecated(
-        since = "0.9.0",
-        note = "open a session once with Connection::open, then submit()/wait(); \
-                see the migration table in README.md"
-    )]
-    pub fn submit(&self, request: &WireRequest) -> Result<WireReport, ClientError> {
-        if self.config.wire == WireVersion::V2 {
-            let conn = self.single_use()?;
-            let ticket = conn.submit(request)?;
-            return conn.wait(ticket);
-        }
-        let (verb, payload) = self.call(Verb::Submit, &request.encode())?;
-        match verb {
-            Verb::Report => Ok(WireReport::decode(&payload)?),
-            other => Err(self.classify(other, &payload)),
-        }
-    }
-
-    /// Fetches the server's `tpi-netd-metrics/v1` JSON.
-    #[deprecated(
-        since = "0.9.0",
-        note = "open a session once with Connection::open, then metrics_json(); \
-                see the migration table in README.md"
-    )]
-    pub fn metrics_json(&self) -> Result<String, ClientError> {
-        if self.config.wire == WireVersion::V2 {
-            return self.single_use()?.metrics_json();
-        }
-        let (verb, payload) = self.call(Verb::Metrics, &[])?;
-        match verb {
-            Verb::MetricsReport => String::from_utf8(payload)
-                .map_err(|_| ClientError::Proto(ProtoError::BadUtf8 { field: "metrics json" })),
-            other => Err(self.classify(other, &payload)),
-        }
-    }
-
-    /// Liveness probe.
-    #[deprecated(
-        since = "0.9.0",
-        note = "open a session once with Connection::open, then ping(); \
-                see the migration table in README.md"
-    )]
-    pub fn ping(&self) -> Result<(), ClientError> {
-        if self.config.wire == WireVersion::V2 {
-            return self.single_use()?.ping();
-        }
-        let (verb, payload) = self.call(Verb::Ping, &[])?;
-        match verb {
-            Verb::Pong => Ok(()),
-            other => Err(self.classify(other, &payload)),
-        }
-    }
-
-    /// Asks the server to drain and exit; returns once acknowledged.
-    /// Not deprecated: a drain request is one-shot by nature.
-    pub fn shutdown_server(&self) -> Result<(), ClientError> {
-        if self.config.wire == WireVersion::V2 {
-            return self.single_use()?.shutdown_server();
-        }
-        let (verb, payload) = self.call(Verb::Shutdown, &[])?;
-        match verb {
-            Verb::Pong => Ok(()),
-            other => Err(self.classify(other, &payload)),
-        }
-    }
-
-    /// Looks a cached payload up on the server by its content-addressed
-    /// key ([`crate::frame::Verb::PeerFetch`]). `Ok(None)` is a miss —
-    /// a valid answer, not an error. This is what a backend calls on a
-    /// sibling before recomputing a result it lost in a ring rebalance.
-    #[deprecated(
-        since = "0.9.0",
-        note = "open a session once with Connection::open, then peer_fetch(); \
-                see the migration table in README.md"
-    )]
-    pub fn peer_fetch(&self, key: u64) -> Result<Option<String>, ClientError> {
-        if self.config.wire == WireVersion::V2 {
-            return self.single_use()?.peer_fetch(key);
-        }
-        let (verb, payload) = self.call(Verb::PeerFetch, &CacheLookup { key }.encode())?;
-        match verb {
-            Verb::CachePayload => Ok(CacheAnswer::decode(&payload)?.payload),
-            other => Err(self.classify(other, &payload)),
-        }
-    }
-
-    /// Turns a non-success response into the matching error.
-    fn classify(&self, verb: Verb, payload: &[u8]) -> ClientError {
-        match verb {
-            Verb::Error => match ErrorInfo::decode(payload) {
-                Ok(info) => ClientError::Remote(info),
-                Err(e) => ClientError::Proto(e),
-            },
-            other => ClientError::UnexpectedVerb(other),
-        }
-    }
-
-    /// Whether a retry is still allowed after `attempt` tries: inside
-    /// the time budget *and* under the hard retry cap (when set).
-    fn may_retry(&self, attempt: u32, give_up: Instant) -> bool {
-        Instant::now() < give_up && self.config.max_retries.is_none_or(|m| attempt <= m)
-    }
-
-    /// One request/response exchange with connect + `Busy` retry.
-    fn call(&self, verb: Verb, payload: &[u8]) -> Result<(Verb, Vec<u8>), ClientError> {
-        let addr = resolve(&self.addr)?;
-        let give_up = Instant::now() + self.config.retry_budget;
-        let mut attempt: u32 = 0;
-        loop {
-            attempt += 1;
-            let stream = match TcpStream::connect_timeout(&addr, self.config.connect_timeout) {
-                Ok(s) => s,
-                Err(last) => {
-                    if retriable_connect(&last) && self.may_retry(attempt, give_up) {
-                        std::thread::sleep(self.backoff(attempt));
-                        continue;
-                    }
-                    return Err(ClientError::Connect { attempts: attempt, last });
-                }
-            };
-            let _ = stream.set_read_timeout(Some(self.config.io_timeout));
-            let _ = stream.set_write_timeout(Some(self.config.io_timeout));
-            let _ = stream.set_nodelay(true);
-            let mut writer = stream.try_clone().map_err(ClientError::Io)?;
-            let mut reader = BufReader::new(stream);
-
-            write_frame(&mut writer, verb, payload).map_err(ClientError::Io)?;
-            let (rverb, rpayload) = read_frame(&mut reader, self.config.max_frame)?;
-            if rverb == Verb::Busy {
-                if self.may_retry(attempt, give_up) {
-                    std::thread::sleep(self.backoff(attempt));
-                    continue;
-                }
-                return Err(ClientError::Busy { attempts: attempt });
-            }
-            return Ok((rverb, rpayload));
-        }
-    }
-
-    /// Exponential backoff with deterministic jitter: step `k` sleeps
-    /// `min(base · 2^(k-1), cap)` plus a jitter draw in `[0, base)`.
-    fn backoff(&self, attempt: u32) -> Duration {
-        let base = self.config.backoff_base.max(Duration::from_micros(100));
-        let exp = base.saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
-        let step = exp.min(self.config.backoff_cap);
-        let jitter_micros = self.next_rand() % (base.as_micros().max(1) as u64);
-        step + Duration::from_micros(jitter_micros)
-    }
-
-    /// xorshift64*: tiny, seedable, and plenty for jitter.
-    fn next_rand(&self) -> u64 {
-        let mut s = self.rng.lock().expect("jitter lock never poisoned");
-        let mut x = *s;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        *s = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
 pub(crate) fn resolve(addr: &str) -> Result<SocketAddr, ClientError> {
     addr.to_socket_addrs()
         .ok()
@@ -376,72 +155,4 @@ pub(crate) fn retriable_connect(e: &io::Error) -> bool {
             | io::ErrorKind::ConnectionAborted
             | io::ErrorKind::TimedOut
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn jitter_stream_is_deterministic_per_seed() {
-        let a = Client::with_config("127.0.0.1:1", ClientConfig { seed: 7, ..Default::default() });
-        let b = Client::with_config("127.0.0.1:1", ClientConfig { seed: 7, ..Default::default() });
-        let c = Client::with_config("127.0.0.1:1", ClientConfig { seed: 8, ..Default::default() });
-        let draw = |cl: &Client| (0..8).map(|_| cl.next_rand()).collect::<Vec<_>>();
-        assert_eq!(draw(&a), draw(&b), "same seed, same stream");
-        assert_ne!(draw(&a), draw(&c), "different seed, different stream");
-    }
-
-    #[test]
-    fn backoff_grows_and_caps() {
-        let cfg = ClientConfig {
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(80),
-            seed: 1,
-            ..Default::default()
-        };
-        let c = Client::with_config("127.0.0.1:1", cfg);
-        // Jitter is < base, so the deterministic part dominates.
-        assert!(c.backoff(1) < Duration::from_millis(20));
-        assert!(c.backoff(4) >= Duration::from_millis(80));
-        assert!(c.backoff(30) < Duration::from_millis(90), "capped plus jitter");
-    }
-
-    #[test]
-    fn zero_seed_is_replaced() {
-        let c = Client::with_config("x:1", ClientConfig { seed: 0, ..Default::default() });
-        assert_ne!(c.next_rand(), 0, "xorshift state must never be zero");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn zero_max_retries_makes_the_first_refusal_final() {
-        // Port 1 refuses on any sane loopback; with a hard cap of zero
-        // retries the refusal must surface as one attempt even though
-        // the time budget would allow thirty seconds of backoff.
-        let c = Client::with_config(
-            "127.0.0.1:1",
-            ClientConfig {
-                max_retries: Some(0),
-                retry_budget: Duration::from_secs(30),
-                ..Default::default()
-            },
-        );
-        let t0 = Instant::now();
-        match c.ping() {
-            Err(ClientError::Connect { attempts: 1, .. }) => {}
-            other => panic!("expected a single-attempt Connect error, got {other:?}"),
-        }
-        assert!(t0.elapsed() < Duration::from_secs(10), "no backoff loop may run");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn unresolvable_addr_is_typed() {
-        let c = Client::new("definitely-not-a-host-name-7f3a:99999");
-        match c.ping() {
-            Err(ClientError::BadAddr(_)) => {}
-            other => panic!("expected BadAddr, got {other:?}"),
-        }
-    }
 }

@@ -1,6 +1,7 @@
-//! The `tpi-net/v1` and `tpi-net/v2` frame codecs.
+//! The `tpi-net/v2` frame codec, plus the retired v1 codec the server
+//! still uses to refuse non-v2 peers in a framing they can parse.
 //!
-//! A v1 message on the wire is one frame:
+//! A v1 frame:
 //!
 //! ```text
 //! +-------+---------+------+-----------+---------+------------+
@@ -20,10 +21,9 @@
 //! +-------+---------+------+--------------+-----------+---------+------------+
 //! ```
 //!
-//! Both versions share the magic and the version byte at offset 4 —
-//! that byte is the whole negotiation: a server sniffs it on the first
-//! frame of a connection and commits the connection to the blocking v1
-//! path or the pipelined v2 path (see [`crate::server`]).
+//! Both versions share the magic and the version byte at offset 4: a
+//! server sniffs it on the first frame of a connection, serves v2, and
+//! refuses anything else (see [`crate::server`]).
 //!
 //! The trailer is the FNV-64 hash of the payload bytes (the same
 //! [`Fnv64`] the cache keys use) — not a security boundary, but enough
@@ -405,8 +405,7 @@ pub fn read_frame_v2(
 /// is `Ok(None)` instead of a blocked thread.
 ///
 /// An error is terminal for the stream: past the first bad byte the
-/// frame boundary is gone, so the caller must close the connection
-/// (exactly the v1 one-strike contract).
+/// frame boundary is gone, so the caller must close the connection.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
     buf: Vec<u8>,

@@ -1,4 +1,4 @@
-//! Payload encodings for the `tpi-net/v1` verbs.
+//! Payload encodings for the `tpi-net` verbs.
 //!
 //! Payloads are flat little-endian binary, decoded with explicit bounds
 //! checks — no `serde`, no reflection, no panics. Strings are

@@ -16,23 +16,20 @@
 //!   worker pool via [`FrameHandler::submit_async`] — the poll thread
 //!   never blocks on a job. A thousand idle sessions are a thousand
 //!   entries in a `poll(2)` set, not a thousand parked threads.
-//! * **Backpressure, not queues.** v2 requests are admitted against
+//! * **Backpressure, not queues.** Requests are admitted against
 //!   [`ServerConfig::max_inflight`]; past the cap a request is answered
 //!   with a [`Verb::Busy`] frame carrying its request ID, and the
-//!   connection stays open. The client's seeded backoff (see
-//!   [`crate::client`]) re-submits the same ID, so overload degrades to
-//!   latency instead of memory. v1 connections keep the historical
-//!   contract: refusal (a Busy frame, then close) past
-//!   [`ServerConfig::max_connections`].
-//! * **v1 peers must not notice.** The first five bytes of every
-//!   connection are sniffed for the version byte; a v1 peer is handed
-//!   to a dedicated blocking thread running the exact v1 request loop,
-//!   timeouts and all. Negotiation costs nothing on the wire — the
-//!   sniffed bytes are replayed to the v1 reader.
+//!   connection stays open. The session client's seeded backoff (see
+//!   [`crate::session`]) re-submits the same ID, so overload degrades
+//!   to latency instead of memory.
+//! * **One protocol.** The first five bytes of every connection are
+//!   sniffed: `TPIN\x02` is served; anything else — a retired
+//!   `tpi-net/v1` peer included — gets one v1-framed [`Verb::Error`]
+//!   (`MalformedFrame`, naming the version it saw) and a close. v1
+//!   framing is the one an old peer can parse.
 //! * **Graceful shutdown drains.** [`ServerHandle::shutdown`] (or a
 //!   [`Verb::Shutdown`] frame) stops the accept loop; in-flight
-//!   requests — v2 completions and v1 connections alike — run to
-//!   completion before [`NetServer::serve`] returns.
+//!   requests run to completion before [`NetServer::serve`] returns.
 //!
 //! The accept loop, framing, backpressure, and shutdown logic are
 //! verb-agnostic; what a `Submit` or `PeerFetch` *means* is the
@@ -49,8 +46,8 @@
 
 use crate::client::ClientConfig;
 use crate::frame::{
-    encode_frame, encode_frame_v2, read_frame, write_frame, FrameAssembler, FrameError, Verb,
-    DEFAULT_MAX_FRAME, MAGIC, VERSION, VERSION_V2,
+    encode_frame, encode_frame_v2, write_frame, FrameAssembler, FrameError, Verb,
+    DEFAULT_MAX_FRAME, MAGIC, VERSION_V2,
 };
 use crate::proto::{
     CacheAnswer, CacheLookup, ErrorCode, ErrorInfo, SubmitMany, WireReport, WireRequest,
@@ -58,7 +55,7 @@ use crate::proto::{
 use crate::session::Connection;
 use std::collections::VecDeque;
 use std::fs::{self, File};
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -73,18 +70,9 @@ use tpi_serve::{cache_key, netlist_fingerprint, CacheKey, JobService, NetlistSou
 pub struct ServerConfig {
     /// Address to bind (`"127.0.0.1:0"` picks an ephemeral port).
     pub addr: String,
-    /// Concurrent *v1* connection cap; v1 connection number `max + 1`
-    /// is answered with a [`Verb::Busy`] frame and closed. v2
-    /// connections are not counted — an idle session is nearly free,
-    /// so the scarce resource is in-flight work, capped by
-    /// [`ServerConfig::max_inflight`].
-    pub max_connections: usize,
-    /// Per-connection read timeout for *v1* connections (an idle or
-    /// wedged v1 peer frees its thread after this long). v2 sessions
-    /// may idle indefinitely; they hold no thread.
-    pub read_timeout: Duration,
-    /// Per-connection write timeout (v1 connections; also bounds the
-    /// final v2 drain on shutdown).
+    /// Write timeout for refusal answers; also bounds the final drain
+    /// on shutdown. Sessions may idle indefinitely: they hold no
+    /// thread, so there is no read timeout.
     pub write_timeout: Duration,
     /// Largest accepted frame payload, in bytes.
     pub max_frame: u32,
@@ -99,8 +87,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            max_connections: 64,
-            read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(30),
             max_frame: DEFAULT_MAX_FRAME,
             max_inflight: 256,
@@ -112,26 +98,15 @@ impl Default for ServerConfig {
 /// framing, backpressure, and shutdown are [`NetServer`]'s.
 ///
 /// Implementations answer with `(response verb, payload bytes)` — the
-/// loop writes the frame. On the v1 path the connection closes after a
-/// [`Verb::Error`] answer (the pre-existing one-strike contract keeps
-/// old client retry logic uniform); on the v2 path an error answer
-/// keeps the connection open, because the frame layer stayed in sync.
+/// loop writes the frame. An error answer keeps the connection open,
+/// because the frame layer stayed in sync.
 pub trait FrameHandler: Send + Sync + 'static {
-    /// Answers a decoded Submit request with [`Verb::Report`] or
-    /// [`Verb::Error`]. Blocking is fine here: this entry point is only
-    /// called from v1 connection threads (and from the default
-    /// [`FrameHandler::submit_async`]).
-    fn submit(&self, req: WireRequest) -> (Verb, Vec<u8>);
-
-    /// Answers a Submit without blocking the caller: `done` fires on
-    /// whatever thread finishes the job. The poll loop calls this for
-    /// every v2 Submit, so an implementation that executes inline
-    /// (the default, which wraps [`FrameHandler::submit`]) serializes
-    /// the whole server — real handlers hand the work to a pool.
-    fn submit_async(&self, req: WireRequest, done: Box<dyn FnOnce(Verb, Vec<u8>) + Send>) {
-        let (verb, payload) = self.submit(req);
-        done(verb, payload);
-    }
+    /// Answers a decoded Submit with [`Verb::Report`] or [`Verb::Error`]
+    /// without blocking the caller: `done` fires on whatever thread
+    /// finishes the job. The poll loop calls this for every Submit, so
+    /// an implementation that executes inline serializes the whole
+    /// server — real handlers hand the work to a pool.
+    fn submit_async(&self, req: WireRequest, done: Box<dyn FnOnce(Verb, Vec<u8>) + Send>);
 
     /// Answers a decoded PeerFetch request with [`Verb::CachePayload`]
     /// or [`Verb::Error`]. A cache miss is a `CachePayload` carrying
@@ -213,12 +188,6 @@ impl JobHandler {
 }
 
 impl FrameHandler for JobHandler {
-    fn submit(&self, req: WireRequest) -> (Verb, Vec<u8>) {
-        self.seed_from_peers(&req);
-        let report = self.service.submit(req.to_spec()).wait();
-        (Verb::Report, WireReport::from_report(&report).encode())
-    }
-
     fn submit_async(&self, req: WireRequest, done: Box<dyn FnOnce(Verb, Vec<u8>) + Send>) {
         if req.peers.is_empty() {
             // The common case: straight onto the worker pool, report
@@ -260,14 +229,12 @@ impl FrameHandler for JobHandler {
     }
 }
 
-/// State shared by the poll loop, v1 connection threads, and handles.
+/// State shared by the poll loop and handles.
 struct ServerState {
     shutdown: AtomicBool,
-    /// Live v1 connection threads.
-    active: AtomicUsize,
-    /// Open v2 (and still-sniffing) connections owned by the poll loop.
-    v2_conns: AtomicUsize,
-    /// v2 requests dispatched to the handler, completion pending.
+    /// Open (and still-sniffing) connections owned by the poll loop.
+    conns: AtomicUsize,
+    /// Requests dispatched to the handler, completion pending.
     inflight: AtomicUsize,
     obs: Recorder,
 }
@@ -331,8 +298,7 @@ impl<H: FrameHandler> NetServer<H> {
         let addr = listener.local_addr()?;
         let state = Arc::new(ServerState {
             shutdown: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            v2_conns: AtomicUsize::new(0),
+            conns: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
             obs: Recorder::new(),
         });
@@ -356,11 +322,10 @@ impl<H: FrameHandler> NetServer<H> {
     }
 
     /// Runs the readiness loop until shutdown, then drains: every
-    /// in-flight v2 request and every live v1 connection thread (and
-    /// therefore every in-flight job) finishes before this returns. The
-    /// listener closes on return, and the handler (with every `Arc` the
-    /// connection threads held) is dropped, so an `Arc<JobService>`
-    /// shared with the caller is uniquely theirs again.
+    /// in-flight request (and therefore every in-flight job) finishes
+    /// before this returns. The listener closes on return, and the
+    /// handler is dropped, so an `Arc<JobService>` shared with the
+    /// caller is uniquely theirs again.
     pub fn serve(self) -> io::Result<()> {
         let NetServer { listener, handler, config, state, addr: _ } = self;
         PollLoop::new(listener, handler, config, state)?.run()
@@ -471,6 +436,27 @@ impl Waker {
             let _ = (&self.tx).write(&[1u8]);
         }
     }
+
+    /// Empties `rx`, then re-arms `pending`; `between` runs between the
+    /// two (a no-op outside tests). The order is the point: a wake
+    /// landing after the re-arm writes a fresh byte that stays in the
+    /// socket, and one landing before it is coalesced into a wake whose
+    /// completion the caller drains next. Re-arming first would let a
+    /// wake's byte be swallowed while `pending` stays set, silencing
+    /// every later wake until the poll timeout.
+    fn drain(&self, rx: &TcpStream, between: impl FnOnce()) {
+        let mut buf = [0u8; 64];
+        loop {
+            match (&*rx).read(&mut buf) {
+                Ok(0) => break, // waker closed; completions still drain via timeout
+                Ok(_) => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break, // WouldBlock: empty
+            }
+        }
+        between();
+        self.pending.store(false, Ordering::SeqCst);
+    }
 }
 
 /// Builds the waker pair: `rx` joins the poll set, `tx` goes to worker
@@ -543,7 +529,6 @@ struct PollLoop<H: FrameHandler> {
     handler: Arc<H>,
     config: ServerConfig,
     state: Arc<ServerState>,
-    addr: SocketAddr,
     /// Connection slab: token = index. `gens[token]` bumps on every
     /// reuse so a completion for a dead connection can never write
     /// into its successor.
@@ -554,11 +539,9 @@ struct PollLoop<H: FrameHandler> {
     completions_rx: mpsc::Receiver<Completion>,
     waker: Arc<Waker>,
     wake_rx: TcpStream,
-    /// v2 requests dispatched, completion not yet received (mirrors
+    /// Requests dispatched, completion not yet received (mirrors
     /// `state.inflight`, but owned — no racing decrements).
     inflight_total: usize,
-    /// Live v1 connection threads, joined on exit.
-    v1_threads: Vec<JoinHandle<()>>,
 }
 
 impl<H: FrameHandler> PollLoop<H> {
@@ -569,7 +552,6 @@ impl<H: FrameHandler> PollLoop<H> {
         state: Arc<ServerState>,
     ) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let (wake_rx, wake_tx) = waker_pair()?;
         let (completions_tx, completions_rx) = mpsc::channel();
         Ok(PollLoop {
@@ -577,7 +559,6 @@ impl<H: FrameHandler> PollLoop<H> {
             handler,
             config,
             state,
-            addr,
             conns: Vec::new(),
             gens: Vec::new(),
             free: Vec::new(),
@@ -586,7 +567,6 @@ impl<H: FrameHandler> PollLoop<H> {
             waker: Arc::new(Waker { tx: wake_tx, pending: AtomicBool::new(false) }),
             wake_rx,
             inflight_total: 0,
-            v1_threads: Vec::new(),
         })
     }
 
@@ -661,7 +641,7 @@ impl<H: FrameHandler> PollLoop<H> {
                 self.accept_ready();
             }
             if fds[1].revents & POLLIN != 0 {
-                self.drain_waker();
+                self.waker.drain(&self.wake_rx, || {});
             }
             self.drain_completions();
 
@@ -677,16 +657,12 @@ impl<H: FrameHandler> PollLoop<H> {
             }
         }
 
-        // Shutdown: close every poll-owned connection, then wait for
-        // the v1 threads (their read timeout bounds the wait).
+        // Shutdown: close every connection.
         for (token, slot) in self.conns.iter_mut().enumerate() {
             if slot.take().is_some() {
                 self.gens[token] += 1;
-                self.state.v2_conns.fetch_sub(1, Ordering::SeqCst);
+                self.state.conns.fetch_sub(1, Ordering::SeqCst);
             }
-        }
-        for t in self.v1_threads.drain(..) {
-            let _ = t.join();
         }
         Ok(())
     }
@@ -722,24 +698,10 @@ impl<H: FrameHandler> PollLoop<H> {
             };
             self.gens[token] += 1;
             self.conns[token] = Some(Conn::new(stream));
-            self.state.v2_conns.fetch_add(1, Ordering::SeqCst);
+            self.state.conns.fetch_add(1, Ordering::SeqCst);
             // The five version bytes may already be on the wire.
             self.conn_readable(token);
             self.reap_if_done(token);
-        }
-    }
-
-    fn drain_waker(&mut self) {
-        self.waker.pending.store(false, Ordering::SeqCst);
-        let mut buf = [0u8; 64];
-        loop {
-            match (&self.wake_rx).read(&mut buf) {
-                Ok(0) => return, // waker closed; completions still drain via timeout
-                Ok(_) => continue,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
         }
     }
 
@@ -815,36 +777,32 @@ impl<H: FrameHandler> PollLoop<H> {
             }
             let magic_ok = conn.sniff[..4] == MAGIC;
             let version = conn.sniff[4];
-            match (magic_ok, version) {
-                (true, VERSION_V2) => {
-                    conn.phase = Phase::V2;
-                    let sniffed = std::mem::take(&mut conn.sniff);
-                    conn.asm.feed(&sniffed);
-                }
-                (true, VERSION) => {
-                    self.handoff_v1(token, bytes.to_vec());
-                    return;
-                }
-                _ => {
-                    // Neither protocol. Answer in v1 framing (the one
-                    // an old peer could conceivably parse) and close.
-                    self.state.obs.add_nd("malformed_frames", 1);
-                    let err = if magic_ok {
-                        FrameError::BadVersion(version)
-                    } else {
-                        let mut m = [0u8; 4];
-                        m.copy_from_slice(&conn.sniff[..4]);
-                        FrameError::BadMagic(m)
-                    };
-                    let info = ErrorInfo::new(ErrorCode::MalformedFrame, err.to_string());
-                    let frame = encode_frame(Verb::Error, &info.encode());
-                    self.state.obs.add_nd("frames_written", 1);
-                    self.state.obs.add_nd("bytes_written", frame.len() as u64);
-                    conn.out.extend(frame);
-                    conn.closing = true;
-                    return;
-                }
+            if !magic_ok || version != VERSION_V2 {
+                // Not v2 (a retired v1 peer, or not this protocol at
+                // all). Answer in v1 framing, the one an old peer can
+                // parse, and close.
+                self.state.obs.add_nd("malformed_frames", 1);
+                let message = if magic_ok {
+                    format!(
+                        "unsupported protocol version {version}; this server speaks \
+                         tpi-net/v{VERSION_V2} only"
+                    )
+                } else {
+                    let mut m = [0u8; 4];
+                    m.copy_from_slice(&conn.sniff[..4]);
+                    FrameError::BadMagic(m).to_string()
+                };
+                let info = ErrorInfo::new(ErrorCode::MalformedFrame, message);
+                let frame = encode_frame(Verb::Error, &info.encode());
+                self.state.obs.add_nd("frames_written", 1);
+                self.state.obs.add_nd("bytes_written", frame.len() as u64);
+                conn.out.extend(frame);
+                conn.closing = true;
+                return;
             }
+            conn.phase = Phase::V2;
+            let sniffed = std::mem::take(&mut conn.sniff);
+            conn.asm.feed(&sniffed);
         }
         let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
         conn.asm.feed(bytes);
@@ -960,8 +918,8 @@ impl<H: FrameHandler> PollLoop<H> {
                 }
             }
             // A response verb has no meaning as a request. The frame
-            // layer stayed in sync, so unlike v1 this answers and
-            // keeps the connection.
+            // layer stayed in sync, so this answers and keeps the
+            // connection.
             Verb::Report
             | Verb::ReportOne
             | Verb::Error
@@ -1086,52 +1044,8 @@ impl<H: FrameHandler> PollLoop<H> {
         if self.conns[token].take().is_some() {
             self.gens[token] += 1;
             self.free.push(token);
-            self.state.v2_conns.fetch_sub(1, Ordering::SeqCst);
+            self.state.conns.fetch_sub(1, Ordering::SeqCst);
         }
-    }
-
-    /// Hands a sniffed v1 connection to a dedicated blocking thread
-    /// running the historical request loop (with the sniffed bytes and
-    /// anything read past them replayed in front of the socket).
-    fn handoff_v1(&mut self, token: usize, extra: Vec<u8>) {
-        let Some(mut conn) = self.conns[token].take() else { return };
-        self.gens[token] += 1;
-        self.free.push(token);
-        self.state.v2_conns.fetch_sub(1, Ordering::SeqCst);
-
-        let mut prefix = std::mem::take(&mut conn.sniff);
-        prefix.extend_from_slice(&extra);
-        let stream = conn.stream;
-        if stream.set_nonblocking(false).is_err() {
-            return;
-        }
-        // v1 keeps its historical connection-level backpressure.
-        self.v1_threads.retain(|t| !t.is_finished());
-        if self.state.active.load(Ordering::SeqCst) >= self.config.max_connections {
-            self.state.obs.add_nd("connections_busy", 1);
-            refuse(stream, &self.config, Verb::Busy, &[]);
-            return;
-        }
-        self.state.active.fetch_add(1, Ordering::SeqCst);
-        let handler = Arc::clone(&self.handler);
-        let state = Arc::clone(&self.state);
-        let config = self.config.clone();
-        let addr = self.addr;
-        let thread = std::thread::Builder::new()
-            .name("tpi-net-v1".into())
-            .spawn(move || {
-                // Frees the slot even if the handler somehow panicked.
-                struct Slot<'a>(&'a ServerState);
-                impl Drop for Slot<'_> {
-                    fn drop(&mut self) {
-                        self.0.active.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-                let _slot = Slot(&state);
-                handle_v1_connection(stream, prefix, &*handler, &state, &config, addr);
-            })
-            .expect("spawning a v1 connection thread succeeds");
-        self.v1_threads.push(thread);
     }
 }
 
@@ -1187,8 +1101,8 @@ fn shutting_down_payload() -> Vec<u8> {
     ErrorInfo::new(ErrorCode::ShuttingDown, "server is draining; try another replica").encode()
 }
 
-/// Best-effort single-frame answer to a connection the server will not
-/// serve (over the v1 cap, or arriving during shutdown).
+/// Best-effort single-frame answer to a connection arriving during
+/// shutdown.
 fn refuse(stream: TcpStream, config: &ServerConfig, verb: Verb, payload: &[u8]) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(config.write_timeout));
@@ -1196,177 +1110,10 @@ fn refuse(stream: TcpStream, config: &ServerConfig, verb: Verb, payload: &[u8]) 
     let _ = write_frame(&mut stream, verb, payload);
 }
 
-/// Replays sniffed bytes in front of the socket so the v1 reader sees
-/// an untouched stream.
-struct Prefixed {
-    prefix: Vec<u8>,
-    pos: usize,
-    stream: TcpStream,
-}
-
-impl Read for Prefixed {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.pos < self.prefix.len() {
-            let n = (self.prefix.len() - self.pos).min(buf.len());
-            buf[..n].copy_from_slice(&self.prefix[self.pos..self.pos + n]);
-            self.pos += n;
-            return Ok(n);
-        }
-        self.stream.read(buf)
-    }
-}
-
-/// One v1 connection's request loop: the historical blocking protocol,
-/// byte for byte. Never panics, never propagates: any protocol fault
-/// answers with an error frame and closes this connection only.
-fn handle_v1_connection<H: FrameHandler>(
-    stream: TcpStream,
-    prefix: Vec<u8>,
-    handler: &H,
-    state: &ServerState,
-    config: &ServerConfig,
-    addr: SocketAddr,
-) {
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(Prefixed { prefix, pos: 0, stream });
-
-    loop {
-        let (verb, payload) = match read_frame(&mut reader, config.max_frame) {
-            Ok(frame) => frame,
-            Err(FrameError::Closed) => return,
-            Err(e) => {
-                state.obs.add_nd("malformed_frames", 1);
-                let code = match e {
-                    FrameError::UnknownVerb(_) => ErrorCode::UnknownVerb,
-                    _ => ErrorCode::MalformedFrame,
-                };
-                send(
-                    state,
-                    &mut writer,
-                    Verb::Error,
-                    &ErrorInfo::new(code, e.to_string()).encode(),
-                );
-                return;
-            }
-        };
-        state.obs.add_nd("frames_read", 1);
-        state.obs.add_nd(
-            "bytes_read",
-            (crate::frame::HEADER_LEN + payload.len() + crate::frame::TRAILER_LEN) as u64,
-        );
-
-        let t0 = Instant::now();
-        let keep_going = match verb {
-            Verb::Ping => send(state, &mut writer, Verb::Pong, &[]),
-            Verb::Metrics => {
-                let json = metrics_json(state, handler);
-                send(state, &mut writer, Verb::MetricsReport, json.as_bytes())
-            }
-            Verb::Shutdown => {
-                // Acknowledge first (the requester should not hang),
-                // then stop the poll loop; in-flight work drains.
-                send(state, &mut writer, Verb::Pong, &[]);
-                state.shutdown.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
-                false
-            }
-            Verb::Submit => match WireRequest::decode(&payload) {
-                Ok(req) => {
-                    let (rverb, rpayload) = handler.submit(req);
-                    if rverb == Verb::Error {
-                        state.obs.add_nd("bad_requests", 1);
-                    }
-                    send(state, &mut writer, rverb, &rpayload) && rverb != Verb::Error
-                }
-                Err(e) => {
-                    state.obs.add_nd("bad_requests", 1);
-                    send(
-                        state,
-                        &mut writer,
-                        Verb::Error,
-                        &ErrorInfo::new(ErrorCode::BadRequest, e.to_string()).encode(),
-                    );
-                    false
-                }
-            },
-            Verb::PeerFetch => match CacheLookup::decode(&payload) {
-                Ok(lookup) => {
-                    let (rverb, rpayload) = handler.peer_fetch(lookup);
-                    if rverb == Verb::Error {
-                        state.obs.add_nd("bad_requests", 1);
-                    }
-                    send(state, &mut writer, rverb, &rpayload) && rverb != Verb::Error
-                }
-                Err(e) => {
-                    state.obs.add_nd("bad_requests", 1);
-                    send(
-                        state,
-                        &mut writer,
-                        Verb::Error,
-                        &ErrorInfo::new(ErrorCode::BadRequest, e.to_string()).encode(),
-                    );
-                    false
-                }
-            },
-            // A response verb has no meaning as a request. SubmitMany
-            // is v2-only; on a v1 stream it is equally unexpected.
-            Verb::Report
-            | Verb::ReportOne
-            | Verb::SubmitMany
-            | Verb::Error
-            | Verb::Busy
-            | Verb::MetricsReport
-            | Verb::Pong
-            | Verb::CachePayload => {
-                send(
-                    state,
-                    &mut writer,
-                    Verb::Error,
-                    &ErrorInfo::new(
-                        ErrorCode::UnexpectedVerb,
-                        format!("{} is a response verb", verb.label()),
-                    )
-                    .encode(),
-                );
-                false
-            }
-        };
-        state.obs.observe("frame_latency", t0.elapsed());
-        if !keep_going {
-            return;
-        }
-    }
-}
-
-/// Writes one response frame, recording the traffic counters. Returns
-/// `false` when the peer is gone (mid-job disconnects land here) — the
-/// job already ran and its result is cached, so the only casualty is
-/// this connection.
-fn send(state: &ServerState, w: &mut TcpStream, verb: Verb, payload: &[u8]) -> bool {
-    match write_frame(w, verb, payload) {
-        Ok(n) => {
-            state.obs.add_nd("frames_written", 1);
-            state.obs.add_nd("bytes_written", n as u64);
-            true
-        }
-        Err(_) => {
-            state.obs.add_nd("write_failures", 1);
-            false
-        }
-    }
-}
-
 /// Renders the metrics snapshot under the handler's schema.
 fn metrics_json<H: FrameHandler>(state: &ServerState, handler: &H) -> String {
     let counters = [
         "connections_accepted",
-        "connections_busy",
         "accept_errors",
         "frames_read",
         "frames_written",
@@ -1382,8 +1129,7 @@ fn metrics_json<H: FrameHandler>(state: &ServerState, handler: &H) -> String {
     for name in counters {
         o.field_u64(name, state.obs.nd_counter(name));
     }
-    let active = state.active.load(Ordering::SeqCst) + state.v2_conns.load(Ordering::SeqCst);
-    o.field_u64("active_connections", active as u64);
+    o.field_u64("active_connections", state.conns.load(Ordering::SeqCst) as u64);
     o.field_u64("inflight_requests", state.inflight.load(Ordering::SeqCst) as u64);
     o.field_object(
         "frame_latency",
@@ -1394,4 +1140,40 @@ fn metrics_json<H: FrameHandler>(state: &ServerState, handler: &H) -> String {
     let (name, json) = handler.snapshot();
     o.field_raw(name, &json);
     o.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Reads one byte from the non-blocking waker socket, polling for
+    /// up to a second (loopback delivery is not instantaneous).
+    fn wake_byte_arrives(rx: &TcpStream) -> bool {
+        let give_up = Instant::now() + Duration::from_secs(1);
+        let mut buf = [0u8; 1];
+        while Instant::now() < give_up {
+            match (&*rx).read(&mut buf) {
+                Ok(1) => return true,
+                _ => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+        false
+    }
+
+    /// A wake that lands while the poll loop is draining the waker must
+    /// not silence later wakes: after the drain, the next `wake` still
+    /// puts a byte on the socket.
+    #[test]
+    fn a_wake_racing_the_drain_is_not_lost() {
+        let (rx, tx) = waker_pair().expect("loopback waker pair");
+        let waker = Waker { tx, pending: AtomicBool::new(false) };
+        waker.wake();
+        std::thread::sleep(Duration::from_millis(20)); // let the byte land
+        waker.drain(&rx, || {
+            waker.wake();
+            std::thread::sleep(Duration::from_millis(20));
+        });
+        waker.wake();
+        assert!(wake_byte_arrives(&rx), "a wake after the drain must reach the socket");
+    }
 }

@@ -1,24 +1,21 @@
 //! The session-oriented client: one persistent `tpi-net/v2` connection
 //! carrying many in-flight requests.
 //!
-//! A [`Connection`] is the v2 counterpart of the one-shot [`Client`]
-//! calls: open once, then [`Connection::submit`] returns a [`Pending`]
-//! ticket immediately and [`Connection::wait`] /
+//! A [`Connection`] is the client: open once, then
+//! [`Connection::submit`] returns a [`Pending`] ticket immediately and [`Connection::wait`] /
 //! [`Connection::wait_any`] collect completions — in whatever order the
 //! server finishes them. Every request carries a connection-unique
 //! `u32` request ID; a background reader thread routes each response
 //! frame to its ticket, so any number of threads may share one
 //! connection (`Connection` is `Send + Sync`).
 //!
-//! Retry policy matches [`Client`]: connect failures retry with
+//! Retry policy (see [`crate::client`]): connect failures retry with
 //! seeded-deterministic backoff inside [`ClientConfig::retry_budget`],
 //! and a per-request [`Verb::Busy`] answer is re-submitted (same
 //! request ID, same bytes) after a backoff draw from the same seeded
 //! jitter stream. Transport errors are **not** retried: the connection
 //! is declared dead, every outstanding ticket fails with
 //! [`ClientError::ConnectionLost`], and the caller reopens.
-//!
-//! [`Client`]: crate::client::Client
 
 use crate::client::{resolve, retriable_connect, ClientConfig, ClientError};
 use crate::frame::{encode_frame_v2, read_frame_v2, FrameError, Verb};
@@ -116,6 +113,16 @@ struct Inner {
     rng: Mutex<u64>,
 }
 
+/// The jitter stream's starting state: the configured seed, with zero
+/// (a fixed point of xorshift) replaced by a constant.
+fn jitter_seed(seed: u64) -> u64 {
+    if seed == 0 {
+        0x9E37_79B9_7F4A_7C15
+    } else {
+        seed
+    }
+}
+
 /// xorshift64*: tiny, seedable, and plenty for jitter.
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
@@ -171,10 +178,7 @@ impl Inner {
 }
 
 /// A persistent, pipelined session with one server. See the module
-/// docs for the contract; see [`Client`] for the deprecated one-shot
-/// calls this replaces.
-///
-/// [`Client`]: crate::client::Client
+/// docs for the contract.
 pub struct Connection {
     inner: Arc<Inner>,
     /// Clone of the stream, kept to unblock the reader on drop.
@@ -188,17 +192,17 @@ impl Connection {
         Connection::open_with(addr, ClientConfig::default())
     }
 
-    /// Opens a session: resolves, connects (with the same seeded retry
-    /// loop as the one-shot client), and starts the reader thread.
+    /// Opens a session: resolves, connects (retrying under the seeded
+    /// backoff), and starts the reader thread.
     pub fn open_with(
         addr: impl AsRef<str>,
         config: ClientConfig,
     ) -> Result<Connection, ClientError> {
-        let mut rng = if config.seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { config.seed };
+        let mut rng = jitter_seed(config.seed);
         let sockaddr = resolve(addr.as_ref())?;
-        // Connect with the same retry/backoff/jitter discipline as the
-        // one-shot client; the jitter state carries over into the
-        // session's stream so the whole connection draws one sequence.
+        // Connect under the retry budget; the jitter state carries over
+        // into the session's stream so the whole connection draws one
+        // sequence.
         let give_up = Instant::now() + config.retry_budget;
         let mut attempt: u32 = 0;
         let stream = loop {
@@ -649,5 +653,69 @@ fn classify(verb: Verb, payload: &[u8]) -> ClientError {
         },
         Verb::Busy => ClientError::Busy { attempts: 1 },
         other => ClientError::UnexpectedVerb(other),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn draws(seed: u64) -> Vec<u64> {
+        let mut state = jitter_seed(seed);
+        (0..8).map(|_| xorshift(&mut state)).collect()
+    }
+
+    #[test]
+    fn jitter_stream_is_deterministic_per_seed() {
+        assert_eq!(draws(7), draws(7), "same seed, same stream");
+        assert_ne!(draws(7), draws(8), "different seed, different stream");
+    }
+
+    #[test]
+    fn backoff_grows_and_caps() {
+        let cfg = ClientConfig {
+            backoff_base: Duration::from_millis(10),
+            backoff_cap: Duration::from_millis(80),
+            ..Default::default()
+        };
+        let mut rng = jitter_seed(1);
+        let mut step = |attempt| backoff_step(&cfg, attempt, xorshift(&mut rng));
+        // Jitter is < base, so the deterministic part dominates.
+        assert!(step(1) < Duration::from_millis(20));
+        assert!(step(4) >= Duration::from_millis(80));
+        assert!(step(30) < Duration::from_millis(90), "capped plus jitter");
+    }
+
+    #[test]
+    fn zero_seed_is_replaced() {
+        assert_ne!(xorshift(&mut jitter_seed(0)), 0, "xorshift state must never be zero");
+    }
+
+    #[test]
+    fn zero_max_retries_makes_the_first_refusal_final() {
+        // Port 1 refuses on any sane loopback; with a hard cap of zero
+        // retries the refusal must surface as one attempt even though
+        // the time budget would allow thirty seconds of backoff.
+        let config = ClientConfig {
+            max_retries: Some(0),
+            retry_budget: Duration::from_secs(30),
+            ..Default::default()
+        };
+        let t0 = Instant::now();
+        match Connection::open_with("127.0.0.1:1", config) {
+            Err(ClientError::Connect { attempts: 1, .. }) => {}
+            Err(other) => panic!("expected a single-attempt Connect error, got {other:?}"),
+            Ok(_) => panic!("expected a single-attempt Connect error, got a session"),
+        }
+        assert!(t0.elapsed() < Duration::from_secs(10), "no backoff loop may run");
+    }
+
+    #[test]
+    fn unresolvable_addr_is_typed() {
+        match Connection::open("definitely-not-a-host-name-7f3a:99999") {
+            Err(ClientError::BadAddr(_)) => {}
+            Err(other) => panic!("expected BadAddr, got {other:?}"),
+            Ok(_) => panic!("expected BadAddr, got a session"),
+        }
     }
 }

@@ -8,8 +8,7 @@
 //!
 //! This module started life inside `tpi-serve` (whose cached payloads
 //! have the same byte-identity contract) and moved here so every crate
-//! that renders metrics shares one writer; `tpi_serve::json` re-exports
-//! it for compatibility.
+//! that renders metrics shares one writer.
 
 use std::fmt::Write as _;
 

@@ -1,6 +1,5 @@
 //! Job descriptions: what to run, on what, with how much time.
 
-use std::time::Duration;
 use tpi_core::{FlowOptions, PartialScanMethod, TpGreedConfig};
 use tpi_netlist::{parse_blif, Netlist, ParseBlifError};
 
@@ -87,16 +86,6 @@ impl JobSpec {
             flow: FlowKind::Partial(method),
             options: FlowOptions::new(),
         }
-    }
-
-    /// Sets an explicit deadline.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `with_options(FlowOptions::new().with_deadline(..))`"
-    )]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.options = self.options.with_deadline(deadline);
-        self
     }
 
     /// Replaces the job's run options wholesale.

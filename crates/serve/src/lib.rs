@@ -36,7 +36,6 @@
 
 pub mod cache;
 pub mod job;
-pub mod json;
 pub mod key;
 pub mod service;
 

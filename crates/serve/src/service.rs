@@ -2,7 +2,6 @@
 
 use crate::cache::{CacheSource, ResultCache};
 use crate::job::{FlowKind, JobSpec};
-use crate::json::JsonObject;
 use crate::key::{cache_key, netlist_fingerprint, CacheKey};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -13,6 +12,7 @@ use tpi_core::{
     CancelKind, CounterSnapshot, FlowError, FlowOptions, FullScanFlow, PartialScanFlow, Progress,
 };
 use tpi_lint::{has_errors, lint_netlist, Diagnostic, LintCode, LintConfig};
+use tpi_obs::JsonObject;
 use tpi_obs::{FlowMetrics, HistogramSnapshot, Recorder};
 use tpi_par::{Threads, WorkerPool};
 
@@ -813,14 +813,6 @@ mod tests {
             .wait();
         assert_eq!(r.status, JobStatus::TimedOut);
         assert_eq!(s.metrics().timed_out, 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_deadline_forwards_to_options() {
-        let s = JobService::new(ServiceConfig::default());
-        let r = s.submit(JobSpec::full_scan(ring()).with_deadline(Duration::ZERO)).wait();
-        assert_eq!(r.status, JobStatus::TimedOut);
     }
 
     #[test]

@@ -195,7 +195,7 @@ pub fn fig6() -> (Netlist, [GateId; 4]) {
 /// two paths) nor `e` (it leaves the cone).
 ///
 /// Returns the netlist and `(c_net, g1, g3, gd)` — see
-/// [`tpi_core::region::Region`](https://docs.rs) for the analysis.
+/// [`tpi_netlist::region::Region`] for the analysis.
 pub fn fig7() -> (Netlist, [GateId; 4]) {
     let mut b = NetlistBuilder::new("fig7");
     b.input("i1");

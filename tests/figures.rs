@@ -1,9 +1,9 @@
 //! Integration tests replaying the paper's figures end to end.
 
+use scanpath::netlist::region::Region;
 use scanpath::netlist::TechLibrary;
 use scanpath::sim::{Implication, Trit};
 use scanpath::tpi::flow::FullScanFlow;
-use scanpath::tpi::region::Region;
 use scanpath::tpi::tpgreed::{verify_outcome, TpGreed, TpGreedConfig};
 use scanpath::tpi::tptime::{PlanAction, ScanPlanner};
 use scanpath::tpi::{assign_inputs, enumerate_paths};

@@ -1,21 +1,21 @@
 //! Loopback integration tests for the `tpi-net` subsystem: the
-//! byte-identity contract, deadline propagation over the wire, `Busy`
-//! backpressure (connection-cap for v1, per-request for v2),
-//! out-of-order pipelined completions, the 1k-idle-connections thread
-//! bound, malformed-frame survival, mid-job disconnects, drain on
-//! shutdown — plus property tests for both frame codecs.
+//! byte-identity contract, deadline propagation over the wire,
+//! per-request `Busy` backpressure, out-of-order pipelined completions,
+//! the 1k-idle-connections thread bound, refusal of v1 peers,
+//! malformed-frame survival, mid-job disconnects, drain on shutdown —
+//! plus property tests for both frame codecs.
 
 use proptest::prelude::*;
 use scanpath::net::{
-    encode_frame, encode_frame_v2, read_frame, read_frame_v2, write_addr_file, write_frame,
-    CacheAnswer, CacheLookup, Client, ClientConfig, ClientError, Connection, ErrorCode, ErrorInfo,
+    encode_frame, encode_frame_v2, read_frame, read_frame_v2, write_addr_file, write_frame_v2,
+    CacheAnswer, CacheLookup, ClientConfig, ClientError, Connection, ErrorCode, ErrorInfo,
     FrameAssembler, FrameError, FrameHandler, NetServer, ProtoError, ServerConfig, Verb,
-    WireRequest, WireVersion,
+    WireRequest,
 };
 use scanpath::netlist::write_blif;
 use scanpath::serve::{JobService, JobSpec, JobStatus, NetlistSource, ServiceConfig};
 use scanpath::workloads::iscas;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -80,41 +80,34 @@ fn loopback_byte_identical_at_all_threads() {
     assert_loopback_byte_identical(0);
 }
 
-/// Every wire path — a v1 client, the deprecated `Client` forwarders
-/// (which open a one-shot v2 session), and a long-lived session —
-/// returns the same report bytes for the same spec.
+/// v1 is retired: a peer speaking it — here a well-formed v1 `Ping` —
+/// gets exactly one v1-framed `MalformedFrame` error naming version 1,
+/// then the connection closes. The listener is untouched: a v2 session
+/// on the same server still returns s27 byte-identical to in-process.
 #[test]
-#[allow(deprecated)] // the forwarders under test are the deprecated compatibility layer
-fn v1_and_v2_paths_return_byte_identical_reports() {
+fn v1_peer_is_refused_and_a_v2_session_still_serves() {
     let (conn, handle, join, _service) = loopback(1, ServerConfig::default());
-    let addr = handle.addr().to_string();
-    let req = WireRequest::full_scan(s27_blif());
 
-    let via_session = run(&conn, &req).expect("session submit");
-    let payload = via_session.payload.clone().expect("completed jobs carry a payload");
+    let mut v1 = TcpStream::connect(handle.addr()).expect("connect");
+    v1.set_read_timeout(Some(Duration::from_secs(10))).expect("set read timeout");
+    v1.write_all(&encode_frame(Verb::Ping, b"")).expect("write a v1 ping");
+    let (verb, payload) = read_frame(&mut &v1, u32::MAX).expect("one v1-framed answer");
+    assert_eq!(verb, Verb::Error);
+    let info = ErrorInfo::decode(&payload).expect("typed error payload");
+    assert_eq!(info.code, ErrorCode::MalformedFrame);
+    assert!(info.message.contains("version 1"), "names the refused version: {}", info.message);
+    let mut rest = Vec::new();
+    v1.read_to_end(&mut rest).expect("the server closes the connection");
+    assert!(rest.is_empty(), "exactly one frame before the close, got {} more bytes", rest.len());
 
-    let v1 = Client::with_config(
-        addr.clone(),
-        ClientConfig { wire: WireVersion::V1, ..ClientConfig::default() },
-    );
-    let via_v1 = v1.submit(&req).expect("v1 submit");
-    assert_eq!(via_v1.payload.as_deref(), Some(payload.as_str()), "v1 bytes match the session");
-
-    let forwarder = Client::new(addr);
-    let via_forwarder = forwarder.submit(&req).expect("forwarder submit");
+    let wire = run(&conn, &WireRequest::full_scan(s27_blif())).expect("v2 submit after v1");
+    let local = JobService::new(ServiceConfig { threads: 1, ..ServiceConfig::default() });
+    let report = local.submit(JobSpec::full_scan(NetlistSource::Blif(s27_blif()))).wait();
     assert_eq!(
-        via_forwarder.payload.as_deref(),
-        Some(payload.as_str()),
-        "deprecated forwarder bytes match the session"
+        wire.payload.expect("completed jobs carry a payload").as_bytes(),
+        report.payload.expect("completed jobs carry a payload").as_bytes(),
+        "v2 payload stays byte-identical to the in-process payload"
     );
-
-    // The remaining forwarders answer over one-shot sessions too.
-    forwarder.ping().expect("forwarder ping");
-    let json = forwarder.metrics_json().expect("forwarder metrics");
-    assert!(json.starts_with("{\"schema\":\"tpi-netd-metrics/v1\""), "schema first: {json}");
-    let key = via_session.key.expect("completed jobs carry a cache key");
-    let fetched = forwarder.peer_fetch(key).expect("forwarder peer-fetch");
-    assert_eq!(fetched.as_deref(), Some(payload.as_str()));
 
     handle.shutdown();
     join.join().unwrap().unwrap();
@@ -191,59 +184,6 @@ fn submit_many_streams_a_report_per_job() {
     join.join().unwrap().unwrap();
 }
 
-/// The v1 `Busy` contract: refusal at the *connection* cap. The v2
-/// per-request contract lives in
-/// `a_thousand_idle_connections_bounded_threads_with_busy_backpressure`.
-#[test]
-#[allow(deprecated)] // asserts the legacy v1 client path on purpose
-fn busy_under_saturation_then_retry_succeeds() {
-    let (conn, handle, join, _service) =
-        loopback(1, ServerConfig { max_connections: 1, ..ServerConfig::default() });
-    let addr = handle.addr();
-
-    // Occupy the single v1 slot with an idle connection. The server
-    // learns a connection's protocol from its first five bytes, so the
-    // hog must announce itself as v1 before it counts against the cap.
-    let mut hog = TcpStream::connect(addr).expect("hog connects");
-    hog.write_all(b"TPIN\x01").expect("hog announces v1");
-    std::thread::sleep(Duration::from_millis(100));
-
-    // No retry budget: the Busy answer surfaces as an error.
-    let impatient = Client::with_config(
-        addr.to_string(),
-        ClientConfig {
-            retry_budget: Duration::ZERO,
-            wire: WireVersion::V1,
-            ..ClientConfig::default()
-        },
-    );
-    match impatient.ping() {
-        Err(ClientError::Busy { .. }) => {}
-        other => panic!("expected Busy at the connection cap, got {other:?}"),
-    }
-
-    // With a budget, the retry loop rides out the saturation: free the
-    // slot shortly and the same call succeeds.
-    let freer = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(150));
-        drop(hog);
-    });
-    let patient = Client::with_config(
-        addr.to_string(),
-        ClientConfig {
-            retry_budget: Duration::from_secs(10),
-            wire: WireVersion::V1,
-            ..ClientConfig::default()
-        },
-    );
-    patient.ping().expect("retry succeeds once the slot frees");
-    freer.join().unwrap();
-
-    drop(conn);
-    handle.shutdown();
-    join.join().unwrap().unwrap();
-}
-
 /// A handler whose submits park until the test opens the gate — the
 /// deterministic way to hold a request in flight.
 #[derive(Clone)]
@@ -274,11 +214,6 @@ struct GateHandler {
 }
 
 impl FrameHandler for GateHandler {
-    fn submit(&self, _req: WireRequest) -> (Verb, Vec<u8>) {
-        self.gate.wait();
-        (Verb::Error, ErrorInfo::new(ErrorCode::Internal, "gated handler").encode())
-    }
-
     fn submit_async(&self, _req: WireRequest, done: Box<dyn FnOnce(Verb, Vec<u8>) + Send>) {
         // Parked on a thread, never on the poll loop.
         let gate = self.gate.clone();
@@ -402,14 +337,15 @@ fn malformed_frame_gets_an_error_and_the_listener_survives() {
     assert_eq!(info.code, ErrorCode::MalformedFrame);
     drop(bad);
 
-    // A valid frame with a corrupted trailer is also refused politely.
+    // A valid frame with a corrupted trailer is also refused politely,
+    // on request ID 0 (a broken frame has no trustable ID).
     let mut torn = TcpStream::connect(addr).expect("connect");
-    let mut frame = encode_frame(Verb::Ping, b"");
+    let mut frame = encode_frame_v2(Verb::Ping, 7, b"");
     let last = frame.len() - 1;
     frame[last] ^= 0xff;
     torn.write_all(&frame).expect("write corrupted frame");
-    let (verb, _) = read_frame(&mut &torn, u32::MAX).expect("server answers a frame");
-    assert_eq!(verb, Verb::Error);
+    let (verb, id, _) = read_frame_v2(&mut &torn, u32::MAX).expect("server answers a frame");
+    assert_eq!((verb, id), (Verb::Error, 0));
     drop(torn);
 
     // The listener is untouched: real work on a fresh connection runs.
@@ -427,7 +363,7 @@ fn mid_job_disconnect_does_not_poison_the_server() {
     // Submit a real job and hang up before reading the response.
     let mut rude = TcpStream::connect(addr).expect("connect");
     let payload = WireRequest::full_scan(s27_blif()).encode();
-    write_frame(&mut rude, Verb::Submit, &payload).expect("write submit");
+    write_frame_v2(&mut rude, Verb::Submit, 1, &payload).expect("write submit");
     drop(rude);
 
     // Follow-up requests on fresh connections must succeed.
