@@ -103,7 +103,7 @@ BENCH=target/release/tpi-bench
 "$BENCH" --threads 0 --det-out "$SMOKE/det0.txt" >/dev/null
 cmp "$SMOKE/det1.txt" "$SMOKE/det0.txt"
 
-echo "== tpi-bench --gain-model scoap (byte-identical across threads 1/2/0 and engines) =="
+echo "== tpi-bench --gain-model scoap (byte-identical across threads 1/2/0 and gain-update modes) =="
 "$BENCH" --gain-model scoap
 
 # The bench files go to the scratch dir: the committed BENCH_PR*.json
@@ -116,10 +116,10 @@ echo "== lane-engine equivalence (release, includes the 10k-gate circuit) =="
 cargo test -q --release -p tpi-core --test lane_equiv -- --include-ignored
 
 echo "== tpi-bench --large: gen50k lane-engine gates =="
-# Fails if selections/deterministic sections differ between the scalar
-# and lane engines or across --threads 1/2/0, or if tpgreed at
-# --threads 0 is >15% slower than --threads 1 (the parallel-slowdown
-# regression this PR fixes).
+# Fails if selections/deterministic sections differ across --threads
+# 1/2/0, or if tpgreed at --threads 0 is >15% slower than --threads 1
+# (the TPGREED parallel-slowdown regression); on a 1-thread host that
+# timing gate prints "skipped (nproc=1)".
 "$BENCH" --large --emit-bench "$SMOKE/bench-large.json"
 
 echo "== tpi-bench --net: session loopback throughput =="

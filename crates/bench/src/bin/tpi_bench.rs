@@ -20,17 +20,20 @@
 //!   workload, then exit. CI runs this at two settings and `cmp`s the
 //!   files: any byte difference fails the build.
 //! * `--large` — run the ~50k-gate `gen50k` workload instead of the
-//!   smoke suite: full-scan on the lane sweep engine at `--threads 1`,
-//!   `2` and `0` plus a scalar-engine baseline at `--threads 1`. Fails
-//!   if the deterministic sections differ anywhere, or if the `tpgreed`
-//!   phase at `--threads 0` is slower than at `--threads 1` by more
-//!   than 15% (the TPGREED parallel-slowdown regression, gated forever).
-//!   With `--emit-bench`, writes the `suite: "large"` bench file
-//!   (`BENCH_PR6.json`).
+//!   smoke suite: full-scan at `--threads 1`, `2` and `0`. Fails if the
+//!   deterministic sections differ anywhere, or if the `tpgreed` phase
+//!   at `--threads 0` is slower than at `--threads 1` by more than 15%
+//!   (the TPGREED parallel-slowdown regression, gated forever). On a
+//!   host with one hardware thread the two runs are the same work, so
+//!   that gate prints `skipped (nproc=1)` instead of passing. With
+//!   `--emit-bench`, writes the `suite: "large"` bench file (the format
+//!   of `BENCH_PR6.json`, minus its scalar-engine fields).
 //! * `--gain-model path-count|scoap` — run the smoke circuits through
-//!   full-scan under the named TPGREED gain model, across `--threads
-//!   1/2/0` on the lane engine plus a scalar-engine baseline, and fail
-//!   unless every deterministic section is byte-identical.
+//!   full-scan under the named TPGREED gain model: the paper's baseline
+//!   (full gain recomputation, `--threads 1`) plus incremental gains at
+//!   `--threads 1/2/0`. Fails unless the incremental runs' deterministic
+//!   sections are byte-identical and every run's transformed netlist
+//!   equals the baseline's.
 //! * `--gen-scale` — the industrial-generator scaling gate: build
 //!   125k/250k/500k-gate designs with `IndustrialSpec::sized`, print
 //!   ns/gate for each, and fail if the slowest per-gate cost exceeds
@@ -51,8 +54,8 @@ use std::process::exit;
 use std::time::Instant;
 use tpi_bench::{ArgCursor, Cli};
 use tpi_core::{
-    FlowMetrics, FlowOptions, FullScanFlow, GainModel, PartialScanFlow, PartialScanMethod,
-    SweepEngine, TpGreedConfig,
+    FlowMetrics, FlowOptions, FullScanFlow, GainModel, GainUpdate, PartialScanFlow,
+    PartialScanMethod, TpGreedConfig,
 };
 use tpi_netlist::Netlist;
 use tpi_obs::{JsonArray, JsonObject, SpanSnapshot};
@@ -138,77 +141,70 @@ fn span_micros(m: &FlowMetrics, name: &str) -> u64 {
     m.spans.iter().find_map(|s| walk(s, name)).unwrap_or(0)
 }
 
-/// One full-scan run of the large workload on a chosen sweep engine.
-fn run_large(n: &Netlist, engine: SweepEngine, threads: usize) -> Run {
-    let flow = FullScanFlow {
-        config: TpGreedConfig { sweep_engine: engine, ..TpGreedConfig::default() },
-        ..FullScanFlow::default()
-    };
+/// One full-scan run of `n` under an explicit TPGREED configuration,
+/// plus the transformed netlist: its test points, scan muxes and chain
+/// are the run's selections.
+fn run_full_scan(n: &Netlist, config: TpGreedConfig, threads: usize) -> (Run, Netlist) {
+    let label =
+        format!("{} [full-scan {} {:?}]", n.name(), config.gain_model.label(), config.gain_update);
+    let flow = FullScanFlow { config, ..FullScanFlow::default() };
     let opts = FlowOptions::new().with_threads(threads);
     let t0 = Instant::now();
-    let metrics = flow.run_with(n, &opts).map(|r| r.metrics).unwrap_or_else(|e| {
-        eprintln!("gen50k [full-scan] {engine:?} --threads {threads}: {e}");
+    let r = flow.run_with(n, &opts).unwrap_or_else(|e| {
+        eprintln!("{label} --threads {threads}: {e}");
         exit(1);
     });
-    Run { threads, wall_micros: t0.elapsed().as_micros() as u64, metrics }
-}
-
-/// One full-scan run of `n` under an explicit gain model and engine.
-fn run_gain_model(n: &Netlist, model: GainModel, engine: SweepEngine, threads: usize) -> Run {
-    let flow = FullScanFlow {
-        config: TpGreedConfig {
-            gain_model: model,
-            sweep_engine: engine,
-            ..TpGreedConfig::default()
-        },
-        ..FullScanFlow::default()
-    };
-    let opts = FlowOptions::new().with_threads(threads);
-    let t0 = Instant::now();
-    let metrics = flow.run_with(n, &opts).map(|r| r.metrics).unwrap_or_else(|e| {
-        eprintln!("[full-scan {}] {engine:?} --threads {threads}: {e}", model.label());
-        exit(1);
-    });
-    Run { threads, wall_micros: t0.elapsed().as_micros() as u64, metrics }
+    let run = Run { threads, wall_micros: t0.elapsed().as_micros() as u64, metrics: r.metrics };
+    (run, r.netlist)
 }
 
 /// `--gain-model MODEL` mode: every smoke circuit through full-scan
-/// under the given TPGREED gain model, across `--threads 1/2/0` on the
-/// lane engine plus a scalar baseline. The deterministic sections must
-/// be byte-identical across all four runs — the gain model changes
-/// *which* test points are picked, never determinism.
+/// under the given TPGREED gain model, incremental gains across
+/// `--threads 1/2/0` plus the paper's full-recomputation baseline at
+/// `--threads 1`. The incremental runs' deterministic sections must be
+/// byte-identical, and every run must produce the same transformed
+/// netlist as the baseline — the gain model changes *which* test points
+/// are picked, never determinism. (The baseline's deterministic section
+/// differs in one counter by design: full recomputation evaluates more
+/// candidates.)
 fn gain_model_mode(model: GainModel) {
     println!(
-        "tpi-bench --gain-model {}: smoke full-scan, threads {THREAD_SETTINGS:?} + scalar",
+        "tpi-bench --gain-model {}: smoke full-scan, threads {THREAD_SETTINGS:?} + full recompute",
         model.label()
     );
+    let cfg = |gain_update| TpGreedConfig { gain_model: model, gain_update, ..Default::default() };
     let mut ok = true;
     for spec in smoke_suite() {
         let n = generate(&spec);
-        let runs: Vec<Run> = THREAD_SETTINGS
+        let (_, base) = run_full_scan(&n, cfg(GainUpdate::Full), 1);
+        let runs: Vec<(Run, Netlist)> = THREAD_SETTINGS
             .iter()
-            .map(|&t| run_gain_model(&n, model, SweepEngine::Lanes, t))
-            .chain(std::iter::once(run_gain_model(&n, model, SweepEngine::Scalar, 1)))
+            .map(|&t| run_full_scan(&n, cfg(GainUpdate::Incremental), t))
             .collect();
-        let det = runs[0].metrics.deterministic_json();
-        let identical = runs.iter().all(|r| r.metrics.deterministic_json() == det);
-        let placed = runs[0].metrics.counter("test_points_placed");
+        let det = runs[0].0.metrics.deterministic_json();
+        let identical =
+            runs.iter().all(|(r, design)| r.metrics.deterministic_json() == det && *design == base);
+        let placed = runs[0].0.metrics.counter("test_points_placed");
         println!(
             "{:<14} | {:>4} test point(s) | {}",
             spec.name,
             placed,
-            if identical { "byte-identical (lanes × 1/2/0 + scalar)" } else { "MISMATCH" },
+            if identical { "byte-identical (full + incremental × 1/2/0)" } else { "MISMATCH" },
         );
         if !identical {
-            eprintln!("{}: deterministic sections DIFFER under {}", spec.name, model.label());
+            eprintln!(
+                "{}: selections or deterministic sections DIFFER under {}",
+                spec.name,
+                model.label()
+            );
             ok = false;
         }
     }
     if !ok {
-        eprintln!("FAIL: gain model {} is not thread/engine deterministic", model.label());
+        eprintln!("FAIL: gain model {} is not thread/mode deterministic", model.label());
         exit(1);
     }
-    println!("OK: {} deterministic sections byte-identical", model.label());
+    println!("OK: {} selections and deterministic sections byte-identical", model.label());
 }
 
 /// `--large` mode: the 50k-gate performance validation (see module docs).
@@ -221,69 +217,59 @@ fn large_mode(emit_bench: Option<String>) {
     let n = generate(&spec);
     println!("{} gates, {} FFs", n.gate_count(), n.dffs().len());
 
-    // The runs: lane engine across the thread sweep, scalar baseline.
-    let lane_runs: Vec<Run> =
-        THREAD_SETTINGS.iter().map(|&t| run_large(&n, SweepEngine::Lanes, t)).collect();
-    let scalar = run_large(&n, SweepEngine::Scalar, 1);
+    let runs: Vec<Run> =
+        THREAD_SETTINGS.iter().map(|&t| run_full_scan(&n, TpGreedConfig::default(), t).0).collect();
 
-    println!("{:<18} {:>8} | {:>12} {:>12}", "engine", "threads", "wall µs", "tpgreed µs");
-    println!("{}", "-".repeat(56));
-    for r in &lane_runs {
+    println!("{:>8} | {:>12} {:>12}", "threads", "wall µs", "tpgreed µs");
+    println!("{}", "-".repeat(36));
+    for r in &runs {
         println!(
-            "{:<18} {:>8} | {:>12} {:>12}",
-            "lanes",
+            "{:>8} | {:>12} {:>12}",
             r.threads,
             r.wall_micros,
             span_micros(&r.metrics, tpi_core::phases::TPGREED)
         );
     }
-    println!(
-        "{:<18} {:>8} | {:>12} {:>12}",
-        "scalar",
-        scalar.threads,
-        scalar.wall_micros,
-        span_micros(&scalar.metrics, tpi_core::phases::TPGREED)
-    );
 
     // Gate 1: selections (and every deterministic counter) must be
-    // byte-identical across engines and thread counts.
-    let det = scalar.metrics.deterministic_json();
-    let identical = lane_runs.iter().all(|r| r.metrics.deterministic_json() == det);
+    // byte-identical across thread counts.
+    let det = runs[0].metrics.deterministic_json();
+    let identical = runs.iter().all(|r| r.metrics.deterministic_json() == det);
     if identical {
-        println!("OK: deterministic sections byte-identical (scalar + lanes × threads 1/2/0)");
+        println!("OK: deterministic sections byte-identical (threads 1/2/0)");
     } else {
-        eprintln!("FAIL: deterministic sections differ between engines/thread counts");
+        eprintln!("FAIL: deterministic sections differ between thread counts");
     }
 
     // Gate 2: the parallel-slowdown regression — tpgreed must not be slower
-    // than sequential. 15% margin absorbs timing noise and single-core
-    // containers (where threads 0 == threads 1).
-    let t1 = span_micros(&lane_runs[0].metrics, tpi_core::phases::TPGREED);
-    let t0 = span_micros(&lane_runs[2].metrics, tpi_core::phases::TPGREED);
-    let parallel_ok = (t0 as f64) <= (t1 as f64) * 1.15;
-    if parallel_ok {
+    // than sequential. The 15% margin absorbs timing noise. With one
+    // hardware thread, `--threads 0` runs the same sequential work as
+    // `--threads 1`, so the comparison would pass without testing
+    // anything: report it as skipped instead.
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let t1 = span_micros(&runs[0].metrics, tpi_core::phases::TPGREED);
+    let t0 = span_micros(&runs[2].metrics, tpi_core::phases::TPGREED);
+    let parallel_gate = if nproc == 1 {
+        println!("skipped (nproc=1): tpgreed --threads 0 ≤ 1.15 × --threads 1");
+        "skipped"
+    } else if (t0 as f64) <= (t1 as f64) * 1.15 {
         println!("OK: tpgreed --threads 0 ({t0} µs) ≤ 1.15 × --threads 1 ({t1} µs)");
+        "ok"
     } else {
         eprintln!("FAIL: tpgreed --threads 0 ({t0} µs) > 1.15 × --threads 1 ({t1} µs)");
-    }
-
-    let scalar_tpgreed = span_micros(&scalar.metrics, tpi_core::phases::TPGREED);
-    let speedup = scalar_tpgreed as f64 / t1.max(1) as f64;
-    println!("lane-engine tpgreed speedup vs scalar (threads 1): {speedup:.1}×");
+        "failed"
+    };
 
     if let Some(path) = emit_bench {
         let mut workloads_arr = JsonArray::new();
         let mut w = JsonObject::new();
         w.field_str("circuit", &spec.name)
             .field_str("flow", "full-scan")
-            .field_object("counters", counter_object(&scalar.metrics.counters));
+            .field_object("counters", counter_object(&runs[0].metrics.counters));
         let mut runs_arr = JsonArray::new();
-        for (engine, r) in
-            std::iter::once(("scalar", &scalar)).chain(lane_runs.iter().map(|r| ("lanes", r)))
-        {
+        for r in &runs {
             let mut ro = JsonObject::new();
-            ro.field_str("engine", engine)
-                .field_u64("threads", r.threads as u64)
+            ro.field_u64("threads", r.threads as u64)
                 .field_u64("wall_micros", r.wall_micros)
                 .field_object("phase_micros", phase_micros(&r.metrics))
                 .field_object("nd_counters", counter_object(&r.metrics.nd_counters));
@@ -296,11 +282,10 @@ fn large_mode(emit_bench: Option<String>) {
         root.field_str("schema", "tpi-bench/v1")
             .field_str("suite", "large")
             .field_str("thread_settings", "1,2,0")
+            .field_u64("nproc", nproc as u64)
             .field_bool("deterministic_sections_identical", identical)
-            .field_bool("parallel_tpgreed_gate_ok", parallel_ok)
-            .field_u64("scalar_tpgreed_micros_t1", scalar_tpgreed)
-            .field_u64("lanes_tpgreed_micros_t1", t1)
-            .field_str("lanes_speedup_vs_scalar_t1", &format!("{speedup:.2}"))
+            .field_str("parallel_tpgreed_gate", parallel_gate)
+            .field_u64("tpgreed_micros_t1", t1)
             .field_array("workloads", workloads_arr);
         let mut text = root.finish();
         text.push('\n');
@@ -308,7 +293,7 @@ fn large_mode(emit_bench: Option<String>) {
         println!("wrote bench file to {path}");
     }
 
-    if !identical || !parallel_ok {
+    if !identical || parallel_gate == "failed" {
         exit(1);
     }
 }

@@ -1,8 +1,8 @@
 //! Dense (SoA) sweep-side data for TPGREED's inner loops.
 //!
 //! The greedy gain sweep interrogates the same three structures millions
-//! of times per run: *which paths does this net affect* (the reverse
-//! path indices), *what is this path's status under a trial implication*
+//! of times per run: *which paths does this net affect* (the pin-level
+//! reverse index), *what is this path's status under a trial implication*
 //! (side-input sources and their sensitizing values), and *which dense
 //! flip-flop slot does this FF map to* (chain bookkeeping). [`PathSet`]
 //! and the `HashMap`-based lookups answer all three correctly but pay a
@@ -35,27 +35,17 @@ pub(crate) struct SweepArena {
     /// Per-path endpoints (net indices).
     from: Vec<u32>,
     to: Vec<u32>,
-    /// Net index -> paths listing the net as a side-input source, CSR.
-    by_side_off: Vec<u32>,
-    by_side: Vec<PathId>,
-    /// Net index -> paths running through the net, CSR.
-    by_through_off: Vec<u32>,
-    by_through: Vec<PathId>,
-    /// Net index -> paths originating at the net (a source FF), CSR.
-    by_from_off: Vec<u32>,
-    by_from: Vec<PathId>,
-    /// Net index -> whether *any* of the three reverse lists is
-    /// non-empty. The gain sweep walks every changed net of a preview;
-    /// on large circuits most changed nets are filler logic no path
-    /// touches, so one dense bool read short-circuits three CSR offset
-    /// lookups on the hot path.
+    /// Net index -> whether the net has any pin below. The gain sweep
+    /// walks every changed net of a preview batch; on large circuits most
+    /// changed nets are filler logic no path touches, so one dense bool
+    /// read short-circuits the pin lookup on the hot path.
     path_relevant: Vec<bool>,
     /// Net index -> *pin-level* reverse index, CSR: every role the net
-    /// plays in any path, one entry per pin. Unlike the three per-role
-    /// lists above this keeps duplicates (a net feeding two side pins of
-    /// one path appears twice, with each pin's own sensitizing value),
-    /// which is what lets a consumer turn "net changed to `v`" into an
-    /// O(1) per-pin status delta instead of re-walking the whole path.
+    /// plays in any path, one entry per pin. Duplicates are kept (a net
+    /// feeding two side pins of one path appears twice, with each pin's
+    /// own sensitizing value), which is what lets a consumer turn "net
+    /// changed to `v`" into an O(1) per-pin status delta instead of
+    /// re-walking the whole path.
     pin_off: Vec<u32>,
     pins: Vec<PathPin>,
 }
@@ -78,40 +68,6 @@ pub(crate) enum PinRole {
 pub(crate) struct PathPin {
     pub path: PathId,
     pub role: PinRole,
-}
-
-/// Builds a reverse CSR (net index -> path ids) from a per-path visitor
-/// that yields the net indices a path should be listed under. Path ids
-/// come out ascending within each net's list.
-fn reverse_csr(
-    gate_count: usize,
-    path_count: usize,
-    mut nets_of: impl FnMut(usize, &mut Vec<u32>),
-) -> (Vec<u32>, Vec<PathId>) {
-    let mut counts = vec![0u32; gate_count + 1];
-    let mut scratch = Vec::new();
-    for p in 0..path_count {
-        scratch.clear();
-        nets_of(p, &mut scratch);
-        for &net in scratch.iter() {
-            counts[net as usize + 1] += 1;
-        }
-    }
-    for i in 0..gate_count {
-        counts[i + 1] += counts[i];
-    }
-    let off = counts.clone();
-    let mut cursor = counts;
-    let mut items = vec![PathId(0); off[gate_count] as usize];
-    for p in 0..path_count {
-        scratch.clear();
-        nets_of(p, &mut scratch);
-        for &net in scratch.iter() {
-            items[cursor[net as usize] as usize] = PathId(p as u32);
-            cursor[net as usize] += 1;
-        }
-    }
-    (off, items)
 }
 
 impl SweepArena {
@@ -142,31 +98,6 @@ impl SweepArena {
             from.push(p.from.index() as u32);
             to.push(p.to.index() as u32);
         }
-        let (by_side_off, by_side) = reverse_csr(gate_count, count, |p, out| {
-            let lo = side_off[p] as usize;
-            let hi = side_off[p + 1] as usize;
-            out.extend(sides[lo..hi].iter().map(|&(net, _)| net));
-            // A path may list one source twice (two side pins); keep one
-            // entry per (net, path) so lookups mirror `PathSet`'s lists
-            // after the caller's sort+dedup.
-            out.sort_unstable();
-            out.dedup();
-        });
-        let (by_through_off, by_through) = reverse_csr(gate_count, count, |p, out| {
-            let lo = gate_off[p] as usize;
-            let hi = gate_off[p + 1] as usize;
-            out.extend_from_slice(&gates[lo..hi]);
-            out.sort_unstable();
-            out.dedup();
-        });
-        let (by_from_off, by_from) = reverse_csr(gate_count, count, |p, out| out.push(from[p]));
-        let path_relevant = (0..gate_count)
-            .map(|i| {
-                by_side_off[i] != by_side_off[i + 1]
-                    || by_through_off[i] != by_through_off[i + 1]
-                    || by_from_off[i] != by_from_off[i + 1]
-            })
-            .collect();
         // Pin-level reverse CSR: two-pass count + fill, paths ascending,
         // roles in From/Through/Side order within each path.
         let mut pin_counts = vec![0u32; gate_count + 1];
@@ -199,6 +130,7 @@ impl SweepArena {
                 place(src, PinRole::Side(sens));
             }
         }
+        let path_relevant = (0..gate_count).map(|i| pin_off[i] != pin_off[i + 1]).collect();
         SweepArena {
             ff_index,
             side_off,
@@ -207,12 +139,6 @@ impl SweepArena {
             gates,
             from,
             to,
-            by_side_off,
-            by_side,
-            by_through_off,
-            by_through,
-            by_from_off,
-            by_from,
             path_relevant,
             pin_off,
             pins,
@@ -226,9 +152,8 @@ impl SweepArena {
         &self.pins[self.pin_off[net] as usize..self.pin_off[net + 1] as usize]
     }
 
-    /// Whether any path lists `net` in a reverse index. `false` means
-    /// [`SweepArena::paths_with_side_source`], [`SweepArena::paths_through`]
-    /// and [`SweepArena::paths_from`] are all empty for `net`.
+    /// Whether any path lists `net` in any role: `false` means
+    /// [`SweepArena::pins`] is empty for `net`.
     #[inline]
     pub(crate) fn path_relevant(&self, net: GateId) -> bool {
         self.path_relevant[net.index()]
@@ -255,32 +180,10 @@ impl SweepArena {
         GateId::from_index(self.to[id.index()] as usize)
     }
 
-    /// Paths listing `net` as a side-input source.
-    #[inline]
-    pub(crate) fn paths_with_side_source(&self, net: GateId) -> &[PathId] {
-        let i = net.index();
-        &self.by_side[self.by_side_off[i] as usize..self.by_side_off[i + 1] as usize]
-    }
-
-    /// Paths running through `net`.
-    #[inline]
-    pub(crate) fn paths_through(&self, net: GateId) -> &[PathId] {
-        let i = net.index();
-        &self.by_through[self.by_through_off[i] as usize..self.by_through_off[i + 1] as usize]
-    }
-
-    /// Paths originating at flip-flop `net`.
-    #[inline]
-    pub(crate) fn paths_from(&self, net: GateId) -> &[PathId] {
-        let i = net.index();
-        &self.by_from[self.by_from_off[i] as usize..self.by_from_off[i + 1] as usize]
-    }
-
     /// Status of path `id` under the value assignment `value`:
     /// `(nullified, w)` where `w` counts side inputs still unknown. The
-    /// value oracle abstracts over the scalar engine, one lane of the
-    /// word-parallel engine, or any other assignment source; the logic is
-    /// the single authoritative implementation of the paper's path
+    /// value oracle is any assignment source (TPGREED passes its
+    /// committed implication state); the logic is the paper's path
     /// bookkeeping (a constant at the source FF or on a path gate blocks
     /// shifting; a non-sensitizing constant on a side input nullifies).
     pub(crate) fn path_status(&self, id: PathId, value: &impl Fn(GateId) -> Trit) -> (bool, u32) {
@@ -329,27 +232,34 @@ mod tests {
         b.finish().unwrap()
     }
 
-    /// The arena's reverse indices must list exactly the paths the
-    /// `PathSet` hash indices list, and `path_status` must agree with a
-    /// straight re-derivation from the path record.
+    /// The arena's pin index, split by role, must list exactly the paths
+    /// the `PathSet` hash indices list, and `path_relevant` must be set
+    /// exactly where a net has pins.
     #[test]
     fn arena_mirrors_pathset_indices() {
         let n = sample();
         let paths = enumerate_paths(&n, 10, usize::MAX);
         let arena = SweepArena::build(&n, &paths);
+        let sorted = |ids: &[PathId]| {
+            let mut v = ids.to_vec();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
         for g in n.gate_ids() {
-            let mut want: Vec<PathId> = paths.paths_with_side_source(g).to_vec();
-            want.sort_unstable();
-            want.dedup();
-            assert_eq!(arena.paths_with_side_source(g), want, "side source {g}");
-            let mut want: Vec<PathId> = paths.paths_through(g).to_vec();
-            want.sort_unstable();
-            want.dedup();
-            assert_eq!(arena.paths_through(g), want, "through {g}");
-            let mut want: Vec<PathId> = paths.paths_from(g).to_vec();
-            want.sort_unstable();
-            want.dedup();
-            assert_eq!(arena.paths_from(g), want, "from {g}");
+            let pins = arena.pins(g.index());
+            let role = |keep: fn(PinRole) -> bool| {
+                let ids: Vec<PathId> =
+                    pins.iter().filter(|p| keep(p.role)).map(|p| p.path).collect();
+                sorted(&ids)
+            };
+            let side = role(|r| matches!(r, PinRole::Side(_)));
+            assert_eq!(side, sorted(paths.paths_with_side_source(g)), "side source {g}");
+            let through = role(|r| r == PinRole::Through);
+            assert_eq!(through, sorted(paths.paths_through(g)), "through {g}");
+            let from = role(|r| r == PinRole::From);
+            assert_eq!(from, sorted(paths.paths_from(g)), "from {g}");
+            assert_eq!(arena.path_relevant(g), !pins.is_empty(), "relevant {g}");
         }
         for (slot, ff) in n.dffs().into_iter().enumerate() {
             assert_eq!(arena.ff_slot(ff), Some(slot));

@@ -55,7 +55,7 @@ pub use paths::{
 };
 pub use progress::{CancelKind, Canceled, CounterSnapshot, Progress};
 pub use report::{Table1Row, Table3Row};
-pub use tpgreed::{GainModel, GainUpdate, SweepEngine, TpGreed, TpGreedConfig, TpGreedOutcome};
+pub use tpgreed::{GainModel, GainUpdate, TpGreed, TpGreedConfig, TpGreedOutcome};
 pub use tpi_netlist::Region;
 pub use tpi_obs::{FlowMetrics, Recorder};
 pub use tptime::{PlanAction, ScanPlan, ScanPlanner};

@@ -21,13 +21,12 @@
 //! via [`GainUpdate`] and produce identical selections (see the
 //! `ablation_gain` bench and the equivalence tests).
 //!
-//! The candidate-gain sweep itself runs on one of two interchangeable
-//! engines (see [`SweepEngine`]): the scalar `preview_force` round trip,
-//! or the word-parallel [`LaneEngine`] that previews 64 candidates per
-//! forward pass over two `u64` bit-planes per net. Both feed the same
-//! scoring code with identical change/frontier lists, so selections are
-//! byte-identical; the lane engine only changes how fast the answer
-//! arrives.
+//! The candidate-gain sweep runs on the word-parallel [`LaneEngine`],
+//! which previews 64 candidates per forward pass over two `u64`
+//! bit-planes per net and scores every lane from the batch's union
+//! change record. A literal per-candidate evaluation of Equation 1 — one
+//! scalar `preview_force` and a walk over every path — survives only as
+//! the test oracle that the sweep's gains must match bit for bit.
 
 use crate::arena::{PinRole, SweepArena};
 use crate::paths::{enumerate_paths_with, PathId, PathSet};
@@ -36,7 +35,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use tpi_netlist::{GateId, GateKind, Netlist};
 use tpi_par::Threads;
-use tpi_sim::{Assignment, Implication, LaneEngine, Trit, LANES};
+use tpi_sim::{Implication, LaneEngine, Trit, LANES};
 
 /// Gain bookkeeping strategy (§III.C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,29 +50,13 @@ pub enum GainUpdate {
     Incremental,
 }
 
-/// Implementation used for the candidate-gain sweep. Every engine
-/// produces byte-identical selections (the change/frontier lists feeding
-/// the scoring code are provably equal — see the lane-equivalence
-/// property tests); the knob exists for benchmarking and bisection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepEngine {
-    /// Pick per sweep: the word-parallel engine once a sweep has enough
-    /// previews to fill lanes, the scalar engine below that.
-    #[default]
-    Auto,
-    /// One `preview_force`/`undo_preview` round trip per candidate.
-    Scalar,
-    /// 64 candidate previews per forward pass (bit-plane lanes).
-    Lanes,
-}
-
 /// Weight model for Equation 1's per-destination contributions.
 ///
 /// Both models rank candidates by the same max-per-destination sum; the
 /// difference is what one destination is worth. The weights are a pure
 /// function of the *base* netlist (computed once before the greedy
 /// loop), so selections stay byte-identical across thread counts and
-/// sweep engines for either model.
+/// gain-update modes for either model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GainModel {
     /// The paper's Equation 1: every destination flip-flop weighs 1,
@@ -127,9 +110,6 @@ pub struct TpGreedConfig {
     /// (highest gain, then lowest candidate index) never depends on
     /// worker scheduling.
     pub threads: usize,
-    /// Candidate-gain sweep implementation; selections are identical for
-    /// every choice.
-    pub sweep_engine: SweepEngine,
     /// Destination weight model for candidate gains. Unlike the knobs
     /// above, this *changes selections* — it is part of the flow
     /// semantics and of the `tpi-serve` cache key.
@@ -145,7 +125,6 @@ impl Default for TpGreedConfig {
             gain_update: GainUpdate::Incremental,
             max_paths: 1 << 22,
             threads: 1,
-            sweep_engine: SweepEngine::Auto,
             gain_model: GainModel::PathCount,
         }
     }
@@ -294,14 +273,14 @@ pub struct TpGreed<'a> {
     watch_epoch: Vec<u32>,
     /// Path -> watching candidates, indexed by path. Stale entries
     /// (epoch no longer current) are dropped lazily on marking and on
-    /// re-registration growth. Lane sweeps register batch-wide
+    /// re-registration growth. Sweeps register batch-wide
     /// [`WatchEntry::Group`] masks here, like the net/gate lists.
     path_watchers: Vec<Vec<WatchEntry>>,
     /// Net -> candidates whose preview determined that net, indexed by
-    /// gate. Lane sweeps register whole batches at once (see
+    /// gate. Sweeps register whole batches at once (see
     /// [`WatchEntry::Group`]): one entry per *union* net instead of one
-    /// per `(net, lane)` pair — registration is the only per-change cost
-    /// the lane engine would otherwise still pay at scalar rates.
+    /// per `(net, lane)` pair, so registration cost per change drops
+    /// with lane occupancy.
     net_watchers: Vec<Vec<WatchEntry>>,
     /// Frontier gates per candidate: a candidate's implication wave can
     /// *extend* through these gates once another insertion determines one
@@ -324,16 +303,13 @@ pub struct TpGreed<'a> {
     scratch: ScoreScratch,
 }
 
-/// Reusable scoring scratch: stamp arrays replace the per-preview
-/// sort+dedup of affected paths and the `BTreeMap` of per-destination
-/// maxima with O(1) amortized lookups. One instance lives on [`TpGreed`]
-/// for sequential sweeps; parallel sweeps clone one per worker alongside
-/// the engine.
+/// Reusable scoring scratch: stamp arrays replace a `BTreeMap` of
+/// per-destination maxima with O(1) amortized lookups, and per-path
+/// batch accumulators replace per-lane path walks. One instance lives on
+/// [`TpGreed`] for sequential sweeps; parallel sweeps clone one per
+/// worker alongside the engine.
 #[derive(Debug, Clone)]
 struct ScoreScratch {
-    /// Last stamp that visited each path (dedup across the three reverse
-    /// indices).
-    path_stamp: Vec<u32>,
     /// Last stamp that touched each destination gate.
     dest_stamp: Vec<u32>,
     /// Best per-destination contribution under the current stamp.
@@ -368,7 +344,6 @@ struct BatchAcc {
 impl ScoreScratch {
     fn new(path_count: usize, gate_count: usize) -> Self {
         ScoreScratch {
-            path_stamp: vec![0; path_count],
             dest_stamp: vec![0; gate_count],
             dest_best: vec![0.0; gate_count],
             dests: Vec::new(),
@@ -381,11 +356,11 @@ impl ScoreScratch {
         }
     }
 
-    /// Starts a new evaluation: returns a stamp no array currently holds.
+    /// Starts a new per-lane gain sum: returns a stamp `dest_stamp`
+    /// does not currently hold.
     fn next_stamp(&mut self) -> u32 {
         self.stamp = self.stamp.wrapping_add(1);
         if self.stamp == 0 {
-            self.path_stamp.fill(0);
             self.dest_stamp.fill(0);
             self.stamp = 1;
         }
@@ -416,20 +391,15 @@ impl ScoreScratch {
     }
 }
 
-/// One parallel sweep worker: an engine clone plus its scoring scratch.
+/// One parallel sweep worker: a lane-engine clone plus its scoring
+/// scratch.
 #[derive(Clone)]
-struct Worker<E> {
-    eng: E,
+struct Worker {
+    eng: LaneEngine,
     sc: ScoreScratch,
 }
 
 const GAIN_INVALID: f64 = -1.0;
-
-/// Sweeps with at least this many non-trivial previews use the lane
-/// engine under [`SweepEngine::Auto`]: below it, a single batch would run
-/// mostly empty lanes and the scalar engine's smaller per-preview setup
-/// wins.
-const LANE_MIN_PREVIEWS: usize = 16;
 
 /// Per-sweep work threshold for spawning workers, measured in previews:
 /// under ~512 previews the engine clone + thread spawn overhead exceeds
@@ -665,19 +635,17 @@ impl<'a> TpGreed<'a> {
     ///
     /// Candidates answered from the committed state alone (ineligible or
     /// already-forced nets, values the implication already carries) are
-    /// classified out first; the remaining *previews* run on the engine
-    /// selected by `cfg.sweep_engine` — scalar round trips or 64-wide
-    /// lane batches, grouped in candidate order.
+    /// classified out first; the remaining *previews* run as 64-wide
+    /// lane batches.
     ///
     /// With `cfg.threads > 1` and at least [`SPAWN_MIN_PREVIEWS`] worth
-    /// of preview work, the jobs are fanned across a scoped thread pool;
-    /// each worker owns one clone of its engine for the whole sweep, and
-    /// previews stay thread-local to that clone. Evaluations are
-    /// independent — a preview restores the engine exactly (see the
-    /// `implication_preview_roundtrip` property) and the union-find roots
-    /// are snapshotted up front — so the result vector is identical to
-    /// the sequential sweep's, element for element, at every `threads`
-    /// setting and on every engine.
+    /// of preview work, the batches are fanned across a scoped thread
+    /// pool; each worker owns one clone of the lane engine for the whole
+    /// sweep, and previews stay thread-local to that clone. Evaluations
+    /// are independent — a batch undo restores the engine exactly and the
+    /// union-find roots are snapshotted up front — so the result vector
+    /// is identical to the sequential sweep's, element for element, at
+    /// every `threads` setting.
     fn sweep_gains(&mut self, cands: &[usize], register: bool) -> SweepResult {
         // The sweep size is a pure function of the netlist and config
         // (never of worker scheduling), so this counter is identical at
@@ -717,95 +685,57 @@ impl<'a> TpGreed<'a> {
         if jobs.is_empty() {
             return SweepResult { evals: out, groups: Vec::new() };
         }
+        // Cone-cluster the jobs before chunking: lanes rooted in the same
+        // fanout cone share most of their implication wave, so the batch's
+        // union record — the cost every lane shares — shrinks. Per-lane
+        // results are grouping-independent (each lane previews its own
+        // root) and the slot index maps them back, so this reorder cannot
+        // change any gain. The key includes the candidate id, making the
+        // order total and the grouping a pure function of the job list,
+        // never of scheduling.
+        jobs.sort_unstable_by_key(|&(_, cand)| (self.cone_order[cand as usize / 2], cand));
+        let groups: Vec<&[(u32, u32)]> = jobs.chunks(LANES).collect();
         let threads = Threads::from_knob(self.cfg.threads);
-        let use_lanes = match self.cfg.sweep_engine {
-            SweepEngine::Scalar => false,
-            SweepEngine::Lanes => true,
-            SweepEngine::Auto => jobs.len() >= LANE_MIN_PREVIEWS,
+        let spawn =
+            threads.get() > 1 && jobs.len() >= SPAWN_MIN_PREVIEWS && groups.len() >= threads.get();
+        let results: Vec<(Vec<(u32, GainEval)>, GroupReg)> = if spawn {
+            let proto = Worker { eng: self.lanes.clone(), sc: self.scratch.clone() };
+            tpi_par::map_indexed(threads, groups.len(), &proto, |w, gi| {
+                ctx.lane_group(&mut w.eng, &mut w.sc, groups[gi], register)
+            })
+        } else {
+            let eng = &mut self.lanes;
+            let sc = &mut self.scratch;
+            groups.iter().map(|group| ctx.lane_group(eng, sc, group, register)).collect()
         };
         let mut group_regs: Vec<GroupReg> = Vec::new();
-        if use_lanes {
-            // Cone-cluster the jobs before chunking: lanes rooted in the
-            // same fanout cone share most of their implication wave, so
-            // the batch's union record — the cost every lane shares —
-            // shrinks. Per-lane results are grouping-independent (each
-            // lane previews its own root) and the slot index maps them
-            // back, so this reorder cannot change any gain. The key
-            // includes the candidate id, making the order total and the
-            // grouping a pure function of the job list, never of
-            // scheduling.
-            jobs.sort_unstable_by_key(|&(_, cand)| (self.cone_order[cand as usize / 2], cand));
-            let groups: Vec<&[(u32, u32)]> = jobs.chunks(LANES).collect();
-            let spawn = threads.get() > 1
-                && jobs.len() >= SPAWN_MIN_PREVIEWS
-                && groups.len() >= threads.get();
-            let results: Vec<(Vec<(u32, GainEval)>, GroupReg)> = if spawn {
-                let proto = Worker { eng: self.lanes.clone(), sc: self.scratch.clone() };
-                tpi_par::map_indexed(threads, groups.len(), &proto, |w, gi| {
-                    ctx.lane_group(&mut w.eng, &mut w.sc, groups[gi], register)
-                })
-            } else {
-                let eng = &mut self.lanes;
-                let sc = &mut self.scratch;
-                groups.iter().map(|group| ctx.lane_group(eng, sc, group, register)).collect()
-            };
-            for (evals, reg) in results {
-                for (slot, eval) in evals {
-                    out[slot as usize] = eval;
-                }
-                if register {
-                    group_regs.push(reg);
-                }
+        for (evals, reg) in results {
+            for (slot, eval) in evals {
+                out[slot as usize] = eval;
             }
-        } else if threads.get() > 1 && jobs.len() >= SPAWN_MIN_PREVIEWS {
-            let proto = Worker { eng: self.imp.clone(), sc: self.scratch.clone() };
-            let results = tpi_par::map_indexed(threads, jobs.len(), &proto, |w, i| {
-                ctx.evaluate(&mut w.eng, &mut w.sc, jobs[i].1 as usize, register)
-            });
-            for ((slot, _), eval) in jobs.iter().zip(results) {
-                out[*slot as usize] = eval;
-            }
-        } else {
-            let imp = &mut self.imp;
-            let sc = &mut self.scratch;
-            for &(slot, cand) in &jobs {
-                out[slot as usize] = ctx.evaluate(imp, sc, cand as usize, register);
+            if register {
+                group_regs.push(reg);
             }
         }
         SweepResult { evals: out, groups: group_regs }
     }
 
-    /// Records one candidate's watcher registrations (incremental mode)
-    /// under a fresh epoch. Entries written under earlier epochs become
-    /// stale and are dropped lazily — on marking, and on append when a
-    /// list is about to grow — so re-evaluating a candidate never
+    /// Starts one candidate's registration (incremental mode) under a
+    /// fresh epoch and records its classify-time net watchers; a lane
+    /// candidate's path/net/frontier registrations follow batched in
+    /// [`TpGreed::register_group`]. Entries written under earlier epochs
+    /// become stale and are dropped lazily — on marking, and on append
+    /// when a list is about to grow — so re-evaluating a candidate never
     /// accumulates duplicate registrations.
     fn register_watchers(&mut self, cand: usize, eval: &GainEval) {
         let epoch = self.watch_epoch[cand].wrapping_add(1);
         self.watch_epoch[cand] = epoch;
-        let entry = (cand as u32, epoch);
-        for id in &eval.touched {
-            push_entry_watcher(
-                &mut self.path_watchers[id.index()],
-                &self.watch_epoch,
-                &self.watch_groups,
-                WatchEntry::Cand(entry.0, entry.1),
-            );
-        }
-        for &net in &eval.watch_nets {
+        if let Some(net) = eval.watch_net {
             push_entry_watcher(
                 &mut self.net_watchers[net.index()],
                 &self.watch_epoch,
                 &self.watch_groups,
-                WatchEntry::Cand(entry.0, entry.1),
-            );
-        }
-        for &g in &eval.frontier {
-            push_entry_watcher(
-                &mut self.gate_watchers[g.index()],
-                &self.watch_epoch,
-                &self.watch_groups,
-                WatchEntry::Cand(entry.0, entry.1),
+                WatchEntry::Cand(cand as u32, epoch),
             );
         }
     }
@@ -1052,30 +982,29 @@ impl<'a> TpGreed<'a> {
 }
 
 /// Result of evaluating one candidate: the Equation 1 gain plus the
-/// watcher registrations the incremental mode needs. Pure data — workers
-/// produce these, the master merges them in candidate order.
-#[derive(Debug, Clone, Default)]
+/// classify-time watcher registration the incremental mode needs. Pure
+/// data — workers produce these, the master merges them in candidate
+/// order.
+#[derive(Debug, Clone, Copy, Default)]
 struct GainEval {
     gain: f64,
-    /// Paths examined under the preview (→ `path_watchers`).
-    touched: Vec<PathId>,
-    /// Nets the preview determined, or the candidate net itself when the
-    /// value was already implied (→ `net_watchers`). Lane sweeps leave
-    /// this empty — their net/frontier registrations travel batched in
-    /// [`GroupReg`].
-    watch_nets: Vec<GateId>,
-    /// Frontier gates of the implication wave (→ `gate_watchers`).
-    frontier: Vec<GateId>,
+    /// The candidate net itself when its value was already implied
+    /// (→ `net_watchers`). Previewed candidates leave this `None` — their
+    /// path/net/frontier registrations travel batched in [`GroupReg`].
+    watch_net: Option<GateId>,
 }
 
-/// One lane batch's net/frontier registrations, produced by
+/// One lane batch's path/net/frontier registrations, produced by
 /// [`EvalCtx::lane_group`] under `register` and applied by the master
-/// after the per-candidate epoch bumps. Where the scalar path registers
-/// each candidate on each of its changed nets individually, a batch
-/// registers its *union* change record once — one entry per union net
-/// carrying the lanes-changed mask — which is what makes registration
-/// cost per change drop with lane occupancy. Pure data; workers produce
-/// these, the master applies them in group order.
+/// after the per-candidate epoch bumps. Instead of registering each
+/// candidate on each of its changed nets individually, a batch registers
+/// its *union* change record once — one entry per union net carrying the
+/// lanes-changed mask — which is what makes registration cost per change
+/// drop with lane occupancy. The net and frontier records keep invalid
+/// lanes: an invalid implication can become valid or extend after a
+/// later commit, so the incremental mode must re-examine it when its cone
+/// changes. Pure data; workers produce these, the master applies them in
+/// group order.
 #[derive(Debug, Clone, Default)]
 struct GroupReg {
     /// Candidates by lane, in lane order.
@@ -1097,22 +1026,13 @@ struct SweepResult {
     groups: Vec<GroupReg>,
 }
 
-/// How much watcher material [`EvalCtx::score_preview`] should collect.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Reg {
-    /// Non-registering sweep (Full mode): collect nothing.
-    Off,
-    /// Scalar sweep: collect touched paths, changed nets and frontier.
-    Full,
-}
-
 /// A net/gate watcher list entry: either one candidate's registration or
 /// a whole lane batch's, referencing `watch_groups` by id with a mask of
 /// the lanes registered here. Both carry enough to detect staleness
 /// lazily (a lane is stale once its candidate's epoch moved on).
 #[derive(Debug, Clone, Copy)]
 enum WatchEntry {
-    /// `(candidate, epoch)` — scalar and classify-time registrations.
+    /// `(candidate, epoch)` — classify-time registrations.
     Cand(u32, u32),
     /// `(group id, lane mask)` — lane-batch registrations.
     Group(u32, u64),
@@ -1192,9 +1112,9 @@ fn push_entry_watcher(
     list.push(entry);
 }
 
-/// Immutable snapshot of everything `evaluate` reads besides the
-/// implication engine. Shared by reference across workers; the engine
-/// itself is the only mutable piece and each worker owns a clone.
+/// Immutable snapshot of everything the sweep reads besides the lane
+/// engine. Shared by reference across workers; the engine itself is the
+/// only mutable piece and each worker owns a clone.
 struct EvalCtx<'s, 'a> {
     n: &'a Netlist,
     arena: &'s SweepArena,
@@ -1208,8 +1128,8 @@ struct EvalCtx<'s, 'a> {
     /// Dense by gate index; `X` = unprotected.
     protected: &'s [Trit],
     established_net: &'s [bool],
-    /// Committed trit per net (see [`TpGreed::committed`]); the lane
-    /// scorer's baseline for O(1) pin class transitions.
+    /// Committed trit per net (see [`TpGreed::committed`]); the
+    /// baseline for the scorer's O(1) pin class transitions.
     committed: &'s [Trit],
     /// Per-gate destination weight (see [`TpGreed::dest_weight`]).
     dest_weight: &'s [f64],
@@ -1218,9 +1138,8 @@ struct EvalCtx<'s, 'a> {
 impl EvalCtx<'_, '_> {
     /// Answers candidates decidable from the committed state alone,
     /// without a preview; returns `None` when the candidate needs one.
-    /// Every `None` satisfies the preview precondition shared by both
-    /// engines: the net is unforced and the trial value differs from the
-    /// committed value.
+    /// Every `None` satisfies the preview precondition: the net is
+    /// unforced and the trial value differs from the committed value.
     fn classify(&self, imp: &Implication<'_>, cand: usize, register: bool) -> Option<GainEval> {
         let (net, value) = decode(cand);
         if !self.is_candidate_net(net) {
@@ -1237,30 +1156,10 @@ impl EvalCtx<'_, '_> {
             // No effect *now* — but a later override can revert this
             // net's implied value, so the incremental mode must know to
             // re-examine the candidate when the net changes.
-            let watch_nets = if register { vec![net] } else { Vec::new() };
-            return Some(GainEval { gain: 0.0, watch_nets, ..Default::default() });
+            let watch_net = register.then_some(net);
+            return Some(GainEval { gain: 0.0, watch_net });
         }
         None
-    }
-
-    /// Evaluates Equation 1 for one candidate on the scalar engine. The
-    /// preview is undone before returning, so `imp` is restored exactly
-    /// and evaluations are order-independent. Only called for candidates
-    /// [`EvalCtx::classify`] passed through.
-    fn evaluate(
-        &self,
-        imp: &mut Implication<'_>,
-        sc: &mut ScoreScratch,
-        cand: usize,
-        register: bool,
-    ) -> GainEval {
-        let (net, value) = decode(cand);
-        let preview = imp.preview_force(net, value);
-        let reg = if register { Reg::Full } else { Reg::Off };
-        let eval =
-            self.score_preview(sc, preview.changes(), preview.frontier(), &|g| imp.value(g), reg);
-        imp.undo_preview(preview);
-        eval
     }
 
     /// Evaluates one lane group — up to [`LANES`] candidates previewed by
@@ -1280,14 +1179,11 @@ impl EvalCtx<'_, '_> {
     /// `path_status` walk computes: a lane's change set is exactly the
     /// nets where its trial valuation differs from the committed one, and
     /// an alive path's unchanged pins keep their committed class. The
-    /// per-lane gain then runs the same max-per-destination sum, in the
-    /// same ascending destination order, over the same
-    /// `dest_weight/st.w` contributions as [`EvalCtx::score_preview`] —
-    /// so gains are
-    /// byte-identical to the scalar engine's (the equivalence tests pin
-    /// this); only the registration *representation* differs (batched
-    /// union records instead of per-candidate lists, marking the same
-    /// candidates dirty on the same commits).
+    /// per-lane gain is then Equation 1's max-per-destination sum over
+    /// the `dest_weight/st.w` contributions, accumulated in ascending
+    /// destination order, minus the kill tie-break — bit for bit what a
+    /// literal per-candidate evaluation computes (the
+    /// `sweep_gains_match_the_equation_1_oracle` test pins this).
     fn lane_group(
         &self,
         eng: &mut LaneEngine,
@@ -1305,8 +1201,7 @@ impl EvalCtx<'_, '_> {
         for &(net, ch) in eng.union_changes() {
             let i = net as usize;
             // Validity: the implication must not disturb protected
-            // constants or put a constant on an established path (same
-            // predicate as `score_preview`, per changed lane).
+            // constants or put a constant on an established path.
             if self.established_net[i] {
                 invalid |= ch;
             } else {
@@ -1377,8 +1272,13 @@ impl EvalCtx<'_, '_> {
             let acc = sc.accs[ai];
             let pi = acc.path as usize;
             let st = self.state[pi];
-            // Monotone disqualification — same skip (and same exclusion
-            // from the touched registration) as `score_preview`.
+            // Dead, established, or pair-unusable paths can never
+            // contribute again (all three conditions are monotone:
+            // nullification and establishment are permanent, chain
+            // endpoints only fill up and fragments only merge) — skip
+            // them and leave them out of the touched registration, so
+            // candidates stop watching paths whose state can no longer
+            // change their gain.
             if !st.alive || st.established || !self.pair_usable(PathId(acc.path)) {
                 continue;
             }
@@ -1404,8 +1304,7 @@ impl EvalCtx<'_, '_> {
 
         // --- per-lane gain: max per destination, summed ascending ---
         let mut out = Vec::with_capacity(group.len());
-        for (lane, &(slot, cand)) in group.iter().enumerate() {
-            let _ = cand;
+        for (lane, &(slot, _)) in group.iter().enumerate() {
             let gain = if invalid & (1u64 << lane) != 0 {
                 GAIN_INVALID
             } else {
@@ -1421,11 +1320,18 @@ impl EvalCtx<'_, '_> {
                         sc.dest_best[d] = c;
                     }
                 }
+                // Equation 1's Σ_j max_i max_p, summed in ascending
+                // destination order: the float sum must accumulate in a
+                // fixed order, or exact gain ties break differently
+                // across runs and thread counts.
                 sc.dests.sort_unstable();
                 let mut gain = 0.0;
                 for &di in &sc.dests {
                     gain += sc.dest_best[di as usize];
                 }
+                // Tie-breaker only (Equation 1 stays dominant): between
+                // equal-gain candidates, prefer the one that nullifies
+                // fewer still-usable paths.
                 if gain > 0.0 {
                     gain -= 1e-6 * f64::from(kills[lane]);
                 }
@@ -1446,121 +1352,6 @@ impl EvalCtx<'_, '_> {
         };
         eng.undo_batch();
         (out, group_reg)
-    }
-
-    /// Scores one preview — the engine-independent core of Equation 1.
-    /// `changes` and `frontier` describe the trial implication wave;
-    /// `value` reads the trial value of any net under that wave. Under a
-    /// registering `reg`, the returned [`GainEval`] carries the watcher
-    /// registrations (they are collected even for invalid candidates — an
-    /// invalid implication can become valid or extend after a later
-    /// commit, so the incremental mode must re-examine it when its cone
-    /// changes).
-    fn score_preview(
-        &self,
-        sc: &mut ScoreScratch,
-        changes: &[Assignment],
-        frontier: &[GateId],
-        value: &impl Fn(GateId) -> Trit,
-        reg: Reg,
-    ) -> GainEval {
-        // Validity: the implication must not disturb protected constants
-        // or put a constant on an established path.
-        let mut valid = true;
-        for a in changes {
-            let want = self.protected[a.net.index()];
-            if want != Trit::X && want != a.value {
-                valid = false;
-                break;
-            }
-            if self.established_net[a.net.index()] {
-                valid = false;
-                break;
-            }
-        }
-
-        let mut gain = 0.0;
-        let mut touched: Vec<PathId> = Vec::new();
-        if valid {
-            // Walk the paths affected by the implied constants, once
-            // each: the stamp array dedups across the three reverse
-            // indices and across changed nets without sorting.
-            let stamp = sc.next_stamp();
-            sc.dests.clear();
-            let mut kills = 0usize;
-            for a in changes {
-                if !self.arena.path_relevant(a.net) {
-                    continue; // no path lists this net anywhere
-                }
-                let lists = [
-                    self.arena.paths_with_side_source(a.net),
-                    self.arena.paths_through(a.net),
-                    self.arena.paths_from(a.net),
-                ];
-                for id in lists.into_iter().flatten() {
-                    let id = *id;
-                    let pi = id.index();
-                    if sc.path_stamp[pi] == stamp {
-                        continue;
-                    }
-                    sc.path_stamp[pi] = stamp;
-                    let st = self.state[pi];
-                    // Dead, established, or pair-unusable paths can never
-                    // contribute again (all three conditions are
-                    // monotone: nullification and establishment are
-                    // permanent, chain endpoints only fill up and
-                    // fragments only merge) — skip them here and leave
-                    // them out of `touched`, so candidates stop watching
-                    // paths whose state can no longer change their gain.
-                    if !st.alive || st.established || !self.pair_usable(id) {
-                        continue;
-                    }
-                    touched.push(id);
-                    let (nullified, new_w) = self.arena.path_status(id, value);
-                    if nullified {
-                        kills += 1;
-                        continue;
-                    }
-                    if new_w >= st.w {
-                        continue; // no progress under this preview
-                    }
-                    let di = self.arena.to_gate(id).index();
-                    let contribution = self.dest_weight[di] / st.w as f64;
-                    if sc.dest_stamp[di] != stamp {
-                        sc.dest_stamp[di] = stamp;
-                        sc.dest_best[di] = contribution;
-                        sc.dests.push(di as u32);
-                    } else if contribution > sc.dest_best[di] {
-                        sc.dest_best[di] = contribution;
-                    }
-                }
-            }
-            // Per-destination maxima (Equation 1's  Σ_j max_i max_p),
-            // summed in ascending destination order: the float sum must
-            // accumulate in a fixed order, or exact gain ties break
-            // differently across runs and engines.
-            sc.dests.sort_unstable();
-            for &di in &sc.dests {
-                gain += sc.dest_best[di as usize];
-            }
-            // Tie-breaker only (Equation 1 stays dominant): between
-            // equal-gain candidates, prefer the one that nullifies fewer
-            // still-usable paths.
-            if gain > 0.0 {
-                gain -= 1e-6 * kills as f64;
-            }
-        }
-
-        let (watch_nets, frontier) = if reg == Reg::Full {
-            (changes.iter().map(|a| a.net).collect(), frontier.to_vec())
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        if reg == Reg::Off {
-            touched.clear();
-        }
-        let gain = if valid { gain } else { GAIN_INVALID };
-        GainEval { gain, touched, watch_nets, frontier }
     }
 
     /// Pairwise usability of a path's endpoints (chain degree and
@@ -1914,6 +1705,8 @@ mod tests {
 #[cfg(test)]
 mod config_tests {
     use super::*;
+    use crate::paths::{enumerate_paths, ScanPathCandidate};
+    use std::collections::BTreeMap;
     use tpi_workloads::{generate, CircuitSpec, StructureClass};
 
     fn workload(seed: u64) -> tpi_netlist::Netlist {
@@ -2004,51 +1797,163 @@ mod config_tests {
         }
     }
 
-    /// The sweep engine must never change the outcome: Scalar, Lanes and
-    /// Auto select identical test points and scan paths for both gain
-    /// strategies, sequentially and with all hardware threads.
+    /// Status of path `p` under the valuation `value`, re-derived
+    /// straight from the path record: `(nullified, w)` with `w` the side
+    /// inputs still unknown. A constant at the source flip-flop or on a
+    /// path gate nullifies, and so does a non-sensitizing constant on a
+    /// side input.
+    fn literal_status(
+        n: &Netlist,
+        p: &ScanPathCandidate,
+        value: &impl Fn(GateId) -> Trit,
+    ) -> (bool, u32) {
+        if value(p.from).is_known() || p.gates.iter().any(|&g| value(g).is_known()) {
+            return (true, 0);
+        }
+        let mut w = 0;
+        for c in &p.side_inputs {
+            match value(c.source) {
+                Trit::X => w += 1,
+                v if Some(v) == sensitizing_for(n.kind(c.sink)) => {}
+                _ => return (true, 0),
+            }
+        }
+        (false, w)
+    }
+
+    impl TpGreed<'_> {
+        /// Equation 1 for one candidate, evaluated literally on the
+        /// committed state: one scalar `preview_force`, the validity rule
+        /// (protected constants stay put, no established net gets a
+        /// constant), then a walk over *every* alive, non-established,
+        /// pair-usable path with the per-destination maximum of
+        /// `dest_weight / w` summed in ascending destination order, minus
+        /// the `1e-6 · kills` tie-break. Candidates the sweep answers
+        /// without a preview get the same answers here: ineligible or
+        /// already-forced nets are invalid, an already-carried value
+        /// gains nothing.
+        fn reference_gain(&mut self, cand: usize) -> f64 {
+            let (net, value) = decode(cand);
+            let kind = self.n.kind(net);
+            if matches!(kind, GateKind::Output | GateKind::Const0 | GateKind::Const1)
+                || self.protected[net.index()] != Trit::X
+                || self.established_net[net.index()]
+                || self.imp.is_forced(net)
+            {
+                return GAIN_INVALID;
+            }
+            if self.imp.value(net) == value {
+                return 0.0;
+            }
+            let ids: Vec<PathId> = self.paths.ids().collect();
+            let before: Vec<(bool, u32)> = ids
+                .iter()
+                .map(|&id| literal_status(self.n, self.paths.path(id), &|g| self.imp.value(g)))
+                .collect();
+            let preview = self.imp.preview_force(net, value);
+            let valid = preview.changes().iter().all(|a| {
+                let want = self.protected[a.net.index()];
+                (want == Trit::X || want == a.value) && !self.established_net[a.net.index()]
+            });
+            let mut best: BTreeMap<usize, f64> = BTreeMap::new();
+            let mut kills = 0u32;
+            for (&id, &(dead_before, w_before)) in ids.iter().zip(&before) {
+                let st = self.state[id.index()];
+                if !valid || !st.alive || st.established || !self.pair_usable(id) {
+                    continue;
+                }
+                assert_eq!((dead_before, w_before), (false, st.w), "path state drifted");
+                let p = self.paths.path(id);
+                let (nullified, w) = literal_status(self.n, p, &|g| self.imp.value(g));
+                if nullified {
+                    kills += 1;
+                } else if w < w_before {
+                    let d = p.to.index();
+                    let c = self.dest_weight[d] / f64::from(w_before);
+                    let e = best.entry(d).or_insert(c);
+                    *e = e.max(c);
+                }
+            }
+            self.imp.undo_preview(preview);
+            if !valid {
+                return GAIN_INVALID;
+            }
+            let mut gain = 0.0;
+            for c in best.values() {
+                gain += c;
+            }
+            if gain > 0.0 {
+                gain -= 1e-6 * f64::from(kills);
+            }
+            gain
+        }
+    }
+
+    /// Every gain the sweep computes must be bit-equal to the literal
+    /// Equation 1 reference, candidate for candidate, across several
+    /// greedy iterations: with and without watcher registration, under
+    /// both gain models, sequentially and with all hardware threads, and
+    /// for two different batch compositions (all candidates, and every
+    /// third one). The larger circuit carries enough previews per sweep
+    /// for `threads: 0` to fan out over workers on a multi-core host.
     #[test]
-    fn sweep_engines_select_identically() {
-        for seed in [7, 8, 9] {
-            let n = workload(seed);
-            for update in [GainUpdate::Full, GainUpdate::Incremental] {
-                let base = TpGreed::new(
-                    &n,
-                    TpGreedConfig {
-                        gain_update: update,
-                        sweep_engine: SweepEngine::Scalar,
-                        ..TpGreedConfig::default()
-                    },
-                )
-                .run();
-                for engine in [SweepEngine::Lanes, SweepEngine::Auto] {
-                    for threads in [1, 0] {
-                        let alt = TpGreed::new(
-                            &n,
-                            TpGreedConfig {
-                                gain_update: update,
-                                sweep_engine: engine,
-                                threads,
-                                ..TpGreedConfig::default()
-                            },
-                        )
-                        .run();
-                        assert_eq!(
-                            alt.test_points, base.test_points,
-                            "seed {seed} {update:?} {engine:?} threads {threads}"
-                        );
-                        assert_eq!(
-                            alt.scan_paths, base.scan_paths,
-                            "seed {seed} {update:?} {engine:?} threads {threads}"
-                        );
-                        assert_eq!(
-                            alt.iterations, base.iterations,
-                            "seed {seed} {update:?} {engine:?} threads {threads}"
-                        );
+    fn sweep_gains_match_the_equation_1_oracle() {
+        let larger = generate(&CircuitSpec {
+            name: "oracle".into(),
+            inputs: 8,
+            outputs: 4,
+            ffs: 24,
+            target_gates: 300,
+            structure: StructureClass::mixed(0.6, 4, 3, 1),
+            seed: 11,
+        });
+        let circuits = [workload(7), workload(8), workload(9), larger];
+        let mut positive = 0usize;
+        for n in &circuits {
+            for gain_model in [GainModel::PathCount, GainModel::Scoap] {
+                for threads in [1, 0] {
+                    let cfg = TpGreedConfig { gain_model, threads, ..TpGreedConfig::default() };
+                    let paths = enumerate_paths(n, cfg.k_bound, cfg.max_paths);
+                    let mut tp = TpGreed::with_paths(n, cfg, paths);
+                    tp.establish_ready_paths();
+                    let all: Vec<usize> = (0..tp.gains.len()).collect();
+                    let thirds: Vec<usize> = all.iter().copied().filter(|c| c % 3 == 1).collect();
+                    for iteration in 0..4 {
+                        let want: Vec<f64> = all.iter().map(|&c| tp.reference_gain(c)).collect();
+                        positive += want.iter().filter(|&&g| g > 0.0).count();
+                        for register in [false, true] {
+                            for cands in [&all, &thirds] {
+                                let got = tp.sweep_gains(cands, register).evals;
+                                for (&c, e) in cands.iter().zip(&got) {
+                                    assert_eq!(
+                                        e.gain.to_bits(),
+                                        want[c].to_bits(),
+                                        "{} {gain_model:?} threads {threads} iteration \
+                                         {iteration} register {register} candidate {c}: \
+                                         sweep {} vs oracle {}",
+                                        n.name(),
+                                        e.gain,
+                                        want[c]
+                                    );
+                                }
+                            }
+                        }
+                        // Commit the argmax (highest gain, lowest index),
+                        // as the Full-mode loop does.
+                        let mut best: Option<(f64, usize)> = None;
+                        for (c, &g) in want.iter().enumerate() {
+                            if g > 0.0 && g >= tp.cfg.gain_bound && best.is_none_or(|(b, _)| g > b)
+                            {
+                                best = Some((g, c));
+                            }
+                        }
+                        let Some((_, c)) = best else { break };
+                        tp.commit(c);
                     }
                 }
             }
         }
+        assert!(positive > 0, "the oracle must see positive gains");
     }
 
     /// The `max_paths` safety cap truncates enumeration but never breaks

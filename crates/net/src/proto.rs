@@ -722,7 +722,6 @@ mod tests {
             max_paths: 999,
             gain_model: GainModel::Scoap,
             threads: 8, // must NOT survive: worker sizing is the server's
-            ..TpGreedConfig::default()
         };
         let req = WireRequest {
             flow: FlowKind::FullScan(cfg),

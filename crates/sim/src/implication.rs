@@ -238,9 +238,10 @@ impl<'a> Implication<'a> {
     /// [`Implication::undo_preview`]. The changed nets with their new
     /// values are readable via [`Preview::changes`].
     ///
-    /// This is the allocation-light trial primitive behind TPGREED's gain
-    /// evaluation: a trial touches only the affected fanout cone instead
-    /// of cloning the whole engine.
+    /// A trial touches only the affected fanout cone instead of cloning
+    /// the whole engine. TPGREED's sweep previews 64 candidates at a time
+    /// on [`crate::LaneEngine`]; this one-candidate trial is the reference
+    /// that engine and TPGREED's Equation 1 oracle test are held to.
     pub fn preview_force(&mut self, net: GateId, value: Trit) -> Preview {
         let was_forced = self.forced[net.index()];
         let old_net_value = self.values[net.index()];

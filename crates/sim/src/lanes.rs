@@ -3,8 +3,8 @@
 //!
 //! TPGREED's gain sweep issues thousands of independent "what would
 //! forcing `(net, value)` imply?" trials per selection round. The scalar
-//! engine answers each with a `preview_force`/`undo_preview` round trip
-//! over the candidate's fanout cone. This engine packs **64 independent
+//! [`Implication`] answers one with a `preview_force`/`undo_preview`
+//! round trip over the candidate's fanout cone. This engine packs **64 independent
 //! trials into the bits of two `u64` planes per net** — a `val` plane
 //! and a `known` plane encode a trit per lane — and propagates all of
 //! them in a *single* ordered pass over the union of the 64 fanout

@@ -11,14 +11,14 @@
 //!   transparent `Buf` into every edge must leave every original gate's
 //!   SCOAP triple unchanged.
 //! * **Flow contracts** — `GainModel::Scoap` selections are byte-stable
-//!   across worker counts *and* sweep engines.
+//!   across worker counts *and* gain-update modes.
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use scanpath::dfa::{DomTree, Scoap};
 use scanpath::netlist::{GateId, GateKind, Netlist};
-use scanpath::sim::NetView;
-use scanpath::tpi::{FlowOptions, FullScanFlow, GainModel, SweepEngine, TpGreedConfig};
+use scanpath::sim::{NetView, Trit};
+use scanpath::tpi::{FlowOptions, FullScanFlow, GainModel, GainUpdate, TpGreedConfig};
 use scanpath::workloads::{generate, smoke_suite, CircuitSpec, StructureClass};
 use std::collections::{HashMap, HashSet};
 
@@ -253,15 +253,15 @@ proptest! {
 // ---------------------------------------------------------------------
 
 #[test]
-fn scoap_selections_are_thread_and_engine_independent() {
+fn scoap_selections_are_thread_and_mode_independent() {
     let spec = &smoke_suite()[0];
     let n = generate(spec);
-    let mut dets = Vec::new();
-    for engine in [SweepEngine::Scalar, SweepEngine::Lanes] {
+    let mut runs = Vec::new();
+    for gain_update in [GainUpdate::Full, GainUpdate::Incremental] {
         let flow = FullScanFlow {
             config: TpGreedConfig {
                 gain_model: GainModel::Scoap,
-                sweep_engine: engine,
+                gain_update,
                 ..TpGreedConfig::default()
             },
             ..FullScanFlow::default()
@@ -270,14 +270,33 @@ fn scoap_selections_are_thread_and_engine_independent() {
             let r = flow
                 .run_with(&n, &FlowOptions::new().with_threads(threads))
                 .expect("scoap full-scan runs");
-            dets.push((engine, threads, r.metrics.deterministic_json()));
+            runs.push((gain_update, threads, r));
         }
     }
-    for (engine, threads, det) in &dets[1..] {
+    // Selections against the paper's baseline, Full recomputation on one
+    // thread: same transformed netlist, chain and test-mode PI values
+    // (a set: input assignment collects them from a hash map).
+    let pi_set = |pis: &[(GateId, Trit)]| {
+        let mut v = pis.to_vec();
+        v.sort_unstable_by_key(|&(g, _)| g.index());
+        v
+    };
+    let base = &runs[0].2;
+    for (gain_update, threads, r) in &runs[1..] {
+        let label = format!("{gain_update:?} --threads {threads} vs Full --threads 1");
+        assert_eq!(r.netlist, base.netlist, "{label}: transformed netlist");
+        assert_eq!(r.chain, base.chain, "{label}: scan chain");
+        assert_eq!(pi_set(&r.pi_values), pi_set(&base.pi_values), "{label}: PI values");
+    }
+    // Within one mode the whole deterministic section — selections and
+    // every work counter — is byte-identical across thread counts.
+    // (`candidates_evaluated` differs between modes by design.)
+    for pair in runs.chunks(2) {
         assert_eq!(
-            det, &dets[0].2,
-            "{engine:?} --threads {threads} diverged from {:?} --threads {}",
-            dets[0].0, dets[0].1
+            pair[0].2.metrics.deterministic_json(),
+            pair[1].2.metrics.deterministic_json(),
+            "{:?}: --threads 0 diverged from --threads 1",
+            pair[0].0
         );
     }
 }
