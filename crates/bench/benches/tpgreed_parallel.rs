@@ -20,13 +20,9 @@ fn bench_tpgreed_parallel(c: &mut Criterion) {
         let n = generate(&spec);
         for threads in [1usize, 2, 4, 0] {
             let label = if threads == 0 { "auto".to_string() } else { threads.to_string() };
-            let cfg = TpGreedConfig {
-                gain_update: GainUpdate::Full,
-                threads,
-                ..TpGreedConfig::default()
-            };
+            let cfg = TpGreedConfig { gain_update: GainUpdate::Full, ..TpGreedConfig::default() };
             group.bench_with_input(BenchmarkId::new(&spec.name, &label), &n, |b, n| {
-                b.iter(|| TpGreed::new(n, cfg.clone()).run())
+                b.iter(|| TpGreed::new(n, cfg.clone()).with_threads(threads).run())
             });
         }
     }

@@ -147,7 +147,7 @@ fn span_micros(m: &FlowMetrics, name: &str) -> u64 {
 fn run_full_scan(n: &Netlist, config: TpGreedConfig, threads: usize) -> (Run, Netlist) {
     let label =
         format!("{} [full-scan {} {:?}]", n.name(), config.gain_model.label(), config.gain_update);
-    let flow = FullScanFlow { config, ..FullScanFlow::default() };
+    let flow = FullScanFlow { config };
     let opts = FlowOptions::new().with_threads(threads);
     let t0 = Instant::now();
     let r = flow.run_with(n, &opts).unwrap_or_else(|e| {

@@ -14,7 +14,7 @@ use crate::paths::enumerate_paths_with;
 use crate::phases;
 use crate::progress::{CancelKind, Canceled, CounterSnapshot, Progress};
 use crate::report::{Table1Row, Table3Row};
-use crate::tpgreed::{verify_outcome, GainModel, TpGreed, TpGreedConfig};
+use crate::tpgreed::{verify_outcome, TpGreed, TpGreedConfig};
 use crate::tptime::{ScanPlan, ScanPlanner};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -163,18 +163,10 @@ fn check_flush(n: &Netlist, report: &FlushReport) -> Result<(), FlowError> {
 }
 
 /// The full-scan flow of §III.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FullScanFlow {
     /// TPGREED parameters.
     pub config: TpGreedConfig,
-    /// Technology library (defaults to the paper's).
-    pub lib: TechLibrary,
-}
-
-impl Default for FullScanFlow {
-    fn default() -> Self {
-        FullScanFlow { config: TpGreedConfig::default(), lib: TechLibrary::paper() }
-    }
 }
 
 /// Everything the full-scan flow produces.
@@ -194,39 +186,26 @@ pub struct FullScanResult {
     /// [`tpi_lint::verify_flow`] (which [`FullScanFlow::run_with`]
     /// invokes automatically).
     pub claims: DftClaims,
-    /// Per-phase spans and counters recorded by the run. Populated by
-    /// [`FullScanFlow::run_with`]; empty from the unchecked
-    /// [`FullScanFlow::run`] convenience wrapper.
+    /// Per-phase spans and counters recorded by the run.
     pub metrics: FlowMetrics,
 }
 
 impl FullScanFlow {
-    /// Runs the flow on (a copy of) `n`.
+    /// Runs the flow on (a copy of) `n` under default [`FlowOptions`]:
+    /// [`run_with`](Self::run_with), verification included.
     ///
     /// # Panics
-    /// Panics if the netlist has no flip-flops (a user error — the
-    /// fallible [`run_with`](Self::run_with) reports it as
-    /// [`FlowError::NoFlipFlops`]), if the netlist is invalid (validate
-    /// first), or if internal verification of the produced scan
-    /// structure fails — the latter two indicate bugs.
+    /// Panics where `run_with` returns an error: the netlist has no
+    /// flip-flops (a user error), or the produced scan structure fails
+    /// the flush test or the verifier (a bug). Also panics on an invalid
+    /// netlist (validate first).
     pub fn run(&self, n: &Netlist) -> FullScanResult {
-        assert!(
-            !n.dffs().is_empty(),
-            "full-scan flow needs at least one flip-flop; use run_with for a fallible check"
-        );
-        self.run_impl(
-            n,
-            &Arc::new(Progress::new()),
-            &Recorder::new(),
-            self.config.threads,
-            self.config.gain_model,
-        )
-        .expect("a fresh Progress never cancels")
+        self.run_with(n, &FlowOptions::new()).expect("full-scan flow failed")
     }
 
     /// The canonical fallible entry point: runs the flow under `opts`.
     ///
-    /// [`FlowOptions`] supplies the worker-thread override, the
+    /// [`FlowOptions`] supplies the worker-thread count, the
     /// cooperative [`Progress`] token (cancellation and deadlines stop
     /// the run between rounds), and an optional shared metrics recorder.
     /// The run records one span per phase (see [`crate::phases`]) plus
@@ -239,12 +218,10 @@ impl FullScanFlow {
         }
         let progress = opts.resolve_progress();
         let rec = opts.resolve_recorder();
-        let threads = opts.threads_or(self.config.threads);
-        let gain_model = opts.gain_model().unwrap_or(self.config.gain_model);
         let before = progress.snapshot();
         let outcome = (|| -> Result<FullScanResult, FlowError> {
             let _root = rec.span(phases::FULL_SCAN);
-            let r = self.run_impl(n, &progress, &rec, threads, gain_model)?;
+            let r = self.run_impl(n, &progress, &rec, opts.threads())?;
             let _v = rec.span(phases::VERIFY);
             check_flush(&r.netlist, &r.flush)?;
             check_claims(n, &r.netlist, &r.claims)?;
@@ -262,7 +239,6 @@ impl FullScanFlow {
         progress: &Arc<Progress>,
         rec: &Recorder,
         threads: usize,
-        gain_model: GainModel,
     ) -> Result<FullScanResult, Canceled> {
         progress.checkpoint()?;
         {
@@ -284,11 +260,9 @@ impl FullScanFlow {
         };
         let (outcome, paths) = {
             let _s = rec.span(phases::TPGREED);
-            let mut cfg = self.config.clone();
-            cfg.threads = threads;
-            cfg.gain_model = gain_model;
-            TpGreed::with_paths(n, cfg, paths)
+            TpGreed::with_paths(n, self.config.clone(), paths)
                 .with_progress(Arc::clone(progress))
+                .with_threads(threads)
                 .try_run_with_paths()?
         };
         verify_outcome(n, &paths, &outcome).expect("TPGREED must produce a verifiable outcome");
@@ -433,24 +407,21 @@ impl PartialScanMethod {
     }
 }
 
-/// The timing-driven partial-scan flow of §IV.
+/// The timing-driven partial-scan flow of §IV, on the paper's
+/// technology library. [`FlowOptions::with_threads`] sets TPTIME's
+/// per-round planning workers; selections are identical for every
+/// setting (planning is read-only; commits happen on the main thread in
+/// cycle-breaker order).
 #[derive(Debug, Clone)]
 pub struct PartialScanFlow {
     /// Method under evaluation.
     pub method: PartialScanMethod,
-    /// Technology library (defaults to the paper's).
-    pub lib: TechLibrary,
-    /// Worker threads for TPTIME's per-round zero-degradation planning:
-    /// `1` is sequential, `0` uses all hardware threads. Selections are
-    /// identical for every setting (planning is read-only; commits happen
-    /// on the main thread in cycle-breaker order).
-    pub threads: usize,
 }
 
 impl PartialScanFlow {
-    /// Creates a flow for `method` with the paper's library.
+    /// Creates a flow for `method`.
     pub fn new(method: PartialScanMethod) -> Self {
-        PartialScanFlow { method, lib: TechLibrary::paper(), threads: 1 }
+        PartialScanFlow { method }
     }
 }
 
@@ -480,27 +451,27 @@ pub struct PartialScanResult {
     /// [`tpi_lint::verify_flow`] (which [`PartialScanFlow::run_with`]
     /// invokes automatically).
     pub claims: DftClaims,
-    /// Per-phase spans and counters recorded by the run. Populated by
-    /// [`PartialScanFlow::run_with`]; empty from the unchecked
-    /// [`PartialScanFlow::run`] convenience wrapper.
+    /// Per-phase spans and counters recorded by the run.
     pub metrics: FlowMetrics,
 }
 
 impl PartialScanFlow {
-    /// Runs the selected method on (a copy of) `n`.
+    /// Runs the selected method on (a copy of) `n` under default
+    /// [`FlowOptions`]: [`run_with`](Self::run_with), verification
+    /// included.
     ///
     /// # Panics
-    /// Panics on invalid input netlists or internal verification
-    /// failures.
+    /// Panics where `run_with` returns an error (the produced scan
+    /// structure fails the flush test or the verifier — a bug), and on
+    /// invalid input netlists.
     pub fn run(&self, n: &Netlist) -> PartialScanResult {
-        self.run_impl(n, &Arc::new(Progress::new()), &Recorder::new(), self.threads)
-            .expect("a fresh Progress never cancels")
+        self.run_with(n, &FlowOptions::new()).expect("partial-scan flow failed")
     }
 
     /// The canonical fallible entry point: runs the selected method
     /// under `opts`.
     ///
-    /// [`FlowOptions`] supplies the worker-thread override, the
+    /// [`FlowOptions`] supplies the worker-thread count, the
     /// cooperative [`Progress`] token (the selection loop checkpoints it
     /// between rounds), and an optional shared metrics recorder. The run
     /// records one span per phase (see [`crate::phases`]) plus the
@@ -514,11 +485,10 @@ impl PartialScanFlow {
     ) -> Result<PartialScanResult, FlowError> {
         let progress = opts.resolve_progress();
         let rec = opts.resolve_recorder();
-        let threads = opts.threads_or(self.threads);
         let before = progress.snapshot();
         let outcome = (|| -> Result<PartialScanResult, FlowError> {
             let _root = rec.span(phases::PARTIAL_SCAN);
-            let r = self.run_impl(n, &progress, &rec, threads)?;
+            let r = self.run_impl(n, &progress, &rec, opts.threads())?;
             let _v = rec.span(phases::VERIFY);
             if let Some(flush) = &r.flush {
                 check_flush(&r.netlist, flush)?;
@@ -540,12 +510,13 @@ impl PartialScanFlow {
         threads: usize,
     ) -> Result<PartialScanResult, Canceled> {
         progress.checkpoint()?;
+        let lib = TechLibrary::paper();
         let baseline_span = rec.span(phases::BASELINE_ANALYSIS);
-        let base_stats = NetlistStats::compute(n, &self.lib);
-        let base_delay = Sta::analyze(n, &self.lib, ClockConstraint::LongestPath).circuit_delay();
+        let base_stats = NetlistStats::compute(n, &lib);
+        let base_delay = Sta::analyze(n, &lib, ClockConstraint::LongestPath).circuit_delay();
         let sgraph = SGraph::build(n);
         let mut planner =
-            ScanPlanner::new(n.clone(), self.lib.clone()).with_progress(Arc::clone(progress));
+            ScanPlanner::new(n.clone(), lib.clone()).with_progress(Arc::clone(progress));
         drop(baseline_span);
 
         let selection_span = rec.span(phases::SELECTION);
@@ -664,9 +635,9 @@ impl PartialScanFlow {
         netlist.validate().expect("transformed netlist must stay valid");
 
         let final_span = rec.span(phases::FINAL_ANALYSIS);
-        let final_stats = NetlistStats::compute(&netlist, &self.lib);
+        let final_stats = NetlistStats::compute(&netlist, &lib);
         let final_delay =
-            Sta::analyze(&netlist, &self.lib, ClockConstraint::LongestPath).circuit_delay();
+            Sta::analyze(&netlist, &lib, ClockConstraint::LongestPath).circuit_delay();
         drop(final_span);
         // As in the full-scan flow, wall-clock timing belongs to callers;
         // the flow reports deterministic counters via `progress`.
@@ -767,13 +738,6 @@ impl PartialScanFlow {
             }) else {
                 break; // nothing left to try
             };
-            if std::env::var_os("TPI_TRACE").is_some() {
-                eprintln!(
-                    "[selection_loop] fallback scans {} (D slack {:.2})",
-                    planner.netlist().gate_name(victim),
-                    planner.sta().endpoint_slack(planner.netlist(), victim)
-                );
-            }
             planner.scan_conventionally(victim);
             scanned.push(victim);
             marked.remove(&victim);
@@ -973,14 +937,17 @@ mod tests {
     }
 
     #[test]
-    fn gain_model_override_reaches_tpgreed_and_stays_deterministic() {
+    fn gain_model_reaches_tpgreed_and_stays_deterministic() {
         let n = mixed_circuit();
-        let scoap_opts = FlowOptions::new().with_gain_model(GainModel::Scoap);
-        let a = FullScanFlow::default().run_with(&n, &scoap_opts).expect("flow succeeds");
+        let flow = FullScanFlow {
+            config: TpGreedConfig {
+                gain_model: crate::tpgreed::GainModel::Scoap,
+                ..TpGreedConfig::default()
+            },
+        };
+        let a = flow.run_with(&n, &FlowOptions::new()).expect("flow succeeds");
         assert!(a.flush.passed());
-        let b = FullScanFlow::default()
-            .run_with(&n, &FlowOptions::new().with_gain_model(GainModel::Scoap).with_threads(2))
-            .expect("flow succeeds");
+        let b = flow.run_with(&n, &FlowOptions::new().with_threads(2)).expect("flow succeeds");
         assert_eq!(a.row.insertions, b.row.insertions);
         assert_eq!(a.metrics.deterministic_json(), b.metrics.deterministic_json());
     }

@@ -16,7 +16,8 @@ use tpi_sim::{Implication, Trit};
 /// Result of [`assign_inputs`].
 #[derive(Debug, Clone)]
 pub struct InputAssignment {
-    /// Primary-input values that must be applied in test mode.
+    /// Primary-input values that must be applied in test mode, sorted
+    /// by gate index.
     pub pi_values: Vec<(GateId, Trit)>,
     /// Test points (indices into the outcome's `test_points`) whose
     /// values the PI assignment produces for free — these need no
@@ -180,7 +181,9 @@ pub fn assign_inputs(n: &Netlist, paths: &PathSet, outcome: &TpGreedOutcome) -> 
         }
     }
 
-    InputAssignment { pi_values: fixed.into_iter().collect(), free, physical }
+    let mut pi_values: Vec<(GateId, Trit)> = fixed.into_iter().collect();
+    pi_values.sort_unstable_by_key(|&(pi, _)| pi.index());
+    InputAssignment { pi_values, free, physical }
 }
 
 /// Checks that the trial state still realizes every remaining test point

@@ -9,18 +9,23 @@
 //! (or embed it in a `JobSpec`), and the flow resolves it into a
 //! concrete progress token, worker count, and metrics recorder.
 //!
+//! Options never change a flow's results. What does — the TPGREED
+//! parameters and gain model, the partial-scan method — lives on the
+//! flow itself ([`TpGreedConfig`](crate::tpgreed::TpGreedConfig),
+//! [`PartialScanMethod`](crate::flow::PartialScanMethod)).
+//!
 //! ```
 //! use std::time::Duration;
 //! use tpi_core::FlowOptions;
 //!
+//! assert_eq!(FlowOptions::new().threads(), 1); // sequential by default
 //! let opts = FlowOptions::new()
 //!     .with_threads(0) // all hardware threads
 //!     .with_deadline(Duration::from_secs(30));
-//! assert_eq!(opts.threads(), Some(0));
+//! assert_eq!(opts.threads(), 0);
 //! ```
 
 use crate::progress::Progress;
-use crate::tpgreed::GainModel;
 use std::sync::Arc;
 use std::time::Duration;
 use tpi_obs::Recorder;
@@ -28,31 +33,24 @@ use tpi_obs::Recorder;
 /// Options shared by every flow entry point: worker threads, cooperative
 /// progress/cancellation, a deadline, and a metrics recorder.
 ///
-/// All knobs are optional; `FlowOptions::default()` reproduces the
-/// flows' historical behavior (flow-configured thread count, fresh
-/// progress token, no deadline, private recorder).
+/// All knobs are optional; `FlowOptions::default()` runs sequentially
+/// with a fresh progress token, no deadline, and a private recorder.
 ///
-/// # Precedence rules
-///
-/// * **Threads**: [`FlowOptions::with_threads`] overrides the flow's own
-///   thread knob; unset, the flow's configuration applies.
-/// * **Progress vs deadline**: an explicit [`FlowOptions::with_progress`]
-///   token wins — its own deadline (if any) governs, and
-///   [`FlowOptions::with_deadline`] is ignored, because [`Progress`]
-///   deadlines are fixed at construction. Without an explicit token, the
-///   flow builds a fresh one from the deadline.
+/// An explicit [`FlowOptions::with_progress`] token wins over
+/// [`FlowOptions::with_deadline`]: its own deadline (if any) governs,
+/// because [`Progress`] deadlines are fixed at construction. Without an
+/// explicit token, the flow builds a fresh one from the deadline.
 #[derive(Debug, Clone, Default)]
 pub struct FlowOptions {
     threads: Option<usize>,
     progress: Option<Arc<Progress>>,
     deadline: Option<Duration>,
     metrics: Option<Arc<Recorder>>,
-    gain_model: Option<GainModel>,
 }
 
 impl FlowOptions {
-    /// All defaults: flow-configured threads, no deadline, fresh
-    /// progress, private recorder.
+    /// All defaults: one thread, no deadline, fresh progress, private
+    /// recorder.
     pub fn new() -> Self {
         FlowOptions::default()
     }
@@ -66,7 +64,7 @@ impl FlowOptions {
 
     /// Attaches a shared progress token for cancellation and counters.
     /// Takes precedence over [`FlowOptions::with_deadline`] (see the
-    /// type-level precedence rules).
+    /// type-level docs).
     pub fn with_progress(mut self, progress: Arc<Progress>) -> Self {
         self.progress = Some(progress);
         self
@@ -89,29 +87,9 @@ impl FlowOptions {
         self
     }
 
-    /// Overrides the flow's TPGREED destination weight model. Unlike
-    /// [`FlowOptions::with_threads`] this changes *selections* (it is
-    /// part of the flow semantics, and of the service cache key);
-    /// unset, the flow configuration's model applies.
-    pub fn with_gain_model(mut self, model: GainModel) -> Self {
-        self.gain_model = Some(model);
-        self
-    }
-
-    /// The thread override, if one was set.
-    pub fn threads(&self) -> Option<usize> {
-        self.threads
-    }
-
-    /// The gain-model override, if one was set.
-    pub fn gain_model(&self) -> Option<GainModel> {
-        self.gain_model
-    }
-
-    /// The thread override, or `default` (normally the flow's own
-    /// configuration) when unset.
-    pub fn threads_or(&self, default: usize) -> usize {
-        self.threads.unwrap_or(default)
+    /// The worker-thread knob: `1` when unset.
+    pub fn threads(&self) -> usize {
+        self.threads.unwrap_or(1)
     }
 
     /// The attached progress token, if any.
@@ -153,12 +131,10 @@ mod tests {
     #[test]
     fn defaults_are_inert() {
         let o = FlowOptions::new();
-        assert_eq!(o.threads(), None);
-        assert_eq!(o.threads_or(7), 7);
+        assert_eq!(o.threads(), 1);
         assert!(o.progress().is_none());
         assert!(o.deadline().is_none());
         assert!(o.metrics().is_none());
-        assert!(o.gain_model().is_none());
         assert!(o.resolve_progress().checkpoint().is_ok());
     }
 
@@ -182,16 +158,5 @@ mod tests {
         let rec = Arc::new(Recorder::new());
         let o = FlowOptions::new().with_metrics(Arc::clone(&rec));
         assert!(Arc::ptr_eq(&o.resolve_recorder(), &rec));
-    }
-
-    #[test]
-    fn threads_override() {
-        assert_eq!(FlowOptions::new().with_threads(0).threads_or(1), 0);
-    }
-
-    #[test]
-    fn gain_model_override() {
-        let o = FlowOptions::new().with_gain_model(GainModel::Scoap);
-        assert_eq!(o.gain_model(), Some(GainModel::Scoap));
     }
 }

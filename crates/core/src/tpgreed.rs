@@ -29,7 +29,7 @@
 //! the test oracle that the sweep's gains must match bit for bit.
 
 use crate::arena::{PinRole, SweepArena};
-use crate::paths::{enumerate_paths_with, PathId, PathSet};
+use crate::paths::{enumerate_paths, PathId, PathSet};
 use crate::progress::{Canceled, Progress};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -88,7 +88,12 @@ impl GainModel {
 /// `tpi_dfa::SAT`) is "maximally hard" with weight `1 + cap/1024`.
 const SCOAP_BURDEN_CAP: u32 = 1 << 20;
 
-/// Configuration for [`TpGreed`].
+/// Configuration for [`TpGreed`]: the algorithm's semantics. Every
+/// field can change selections, and every field is part of the
+/// `tpi-serve` cache key and the wire protocol. Worker threads are not
+/// here: they never change selections, so they are a run option
+/// ([`TpGreed::with_threads`], or `FlowOptions::with_threads` for the
+/// flows).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TpGreedConfig {
     /// Maximum number of side inputs for a path to be considered
@@ -102,17 +107,7 @@ pub struct TpGreedConfig {
     /// Safety cap on the number of enumerated paths (clamped to
     /// `u32::MAX`, the `PathId` capacity).
     pub max_paths: usize,
-    /// Worker threads for path enumeration and candidate-gain sweeps:
-    /// `1` runs fully sequentially, `0` uses all hardware threads, any
-    /// other value is an explicit count. Selections are **identical**
-    /// for every setting — workers only split the per-sweep evaluation,
-    /// results are merged in candidate order and the argmax tie-break
-    /// (highest gain, then lowest candidate index) never depends on
-    /// worker scheduling.
-    pub threads: usize,
-    /// Destination weight model for candidate gains. Unlike the knobs
-    /// above, this *changes selections* — it is part of the flow
-    /// semantics and of the `tpi-serve` cache key.
+    /// Destination weight model for candidate gains.
     pub gain_model: GainModel,
 }
 
@@ -124,7 +119,6 @@ impl Default for TpGreedConfig {
             gain_bound: 0.5,
             gain_update: GainUpdate::Incremental,
             max_paths: 1 << 22,
-            threads: 1,
             gain_model: GainModel::PathCount,
         }
     }
@@ -274,19 +268,16 @@ pub struct TpGreed<'a> {
     /// Path -> watching candidates, indexed by path. Stale entries
     /// (epoch no longer current) are dropped lazily on marking and on
     /// re-registration growth. Sweeps register batch-wide
-    /// [`WatchEntry::Group`] masks here, like the net/gate lists.
+    /// [`WatchEntry::Group`] masks here, like the net lists.
     path_watchers: Vec<Vec<WatchEntry>>,
-    /// Net -> candidates whose preview determined that net, indexed by
+    /// Net -> candidates whose preview changed that net, indexed by
     /// gate. Sweeps register whole batches at once (see
     /// [`WatchEntry::Group`]): one entry per *union* net instead of one
     /// per `(net, lane)` pair, so registration cost per change drops
-    /// with lane occupancy.
+    /// with lane occupancy. A commit re-dirties the watchers of every
+    /// net it changes and of every fanin of those nets' sinks (see
+    /// [`TpGreed::commit`]).
     net_watchers: Vec<Vec<WatchEntry>>,
-    /// Frontier gates per candidate: a candidate's implication wave can
-    /// *extend* through these gates once another insertion determines one
-    /// of their inputs, so commits that touch their fanins re-dirty the
-    /// registered candidates. Indexed by gate.
-    gate_watchers: Vec<Vec<WatchEntry>>,
     /// Lane-batch registration table: group id -> per-lane `(candidate,
     /// epoch at registration)`. [`WatchEntry::Group`] masks index into
     /// this. Entries are never removed — a group goes dead once all its
@@ -299,6 +290,8 @@ pub struct TpGreed<'a> {
     cone_order: Vec<u32>,
     /// Cooperative cancellation token and run counters.
     progress: Arc<Progress>,
+    /// Sweep workers (see [`TpGreed::with_threads`]).
+    threads: Threads,
     /// Reusable per-sweep scoring scratch (stamp-dedup arrays).
     scratch: ScoreScratch,
 }
@@ -412,13 +405,13 @@ const GAIN_INVALID: f64 = -1.0;
 const SPAWN_MIN_PREVIEWS: usize = 512;
 
 impl<'a> TpGreed<'a> {
-    /// Prepares a run over `n`: enumerates paths and initializes state.
+    /// Prepares a run over `n`: enumerates paths (sequentially) and
+    /// initializes state.
     ///
     /// # Panics
     /// Panics if the netlist has a combinational cycle.
     pub fn new(n: &'a Netlist, cfg: TpGreedConfig) -> Self {
-        let paths =
-            enumerate_paths_with(n, cfg.k_bound, cfg.max_paths, Threads::from_knob(cfg.threads));
+        let paths = enumerate_paths(n, cfg.k_bound, cfg.max_paths);
         Self::with_paths(n, cfg, paths)
     }
 
@@ -481,10 +474,10 @@ impl<'a> TpGreed<'a> {
             watch_epoch: vec![0; candidate_count],
             path_watchers: vec![Vec::new(); paths.len()],
             net_watchers: vec![Vec::new(); n.gate_count()],
-            gate_watchers: vec![Vec::new(); n.gate_count()],
             watch_groups: Vec::new(),
             cone_order,
             progress: Arc::new(Progress::new()),
+            threads: Threads::new(1),
             scratch: ScoreScratch::new(paths.len(), n.gate_count()),
             paths,
         }
@@ -499,6 +492,18 @@ impl<'a> TpGreed<'a> {
     /// every iteration boundary and reports its counters through it.
     pub fn with_progress(mut self, progress: Arc<Progress>) -> Self {
         self.progress = progress;
+        self
+    }
+
+    /// Sets the worker threads of the candidate-gain sweeps: `1` (the
+    /// default) runs sequentially, `0` uses all hardware threads, any
+    /// other value is an explicit count. Selections are **identical**
+    /// for every setting: workers only split the per-sweep evaluation,
+    /// results are merged in candidate order, and the argmax tie-break
+    /// (highest gain, then lowest candidate index) never depends on
+    /// worker scheduling.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = Threads::from_knob(threads);
         self
     }
 
@@ -604,7 +609,7 @@ impl<'a> TpGreed<'a> {
                     heap.push((OrdF64(eval.gain), std::cmp::Reverse(cand), self.watch_epoch[cand]));
                 }
             }
-            // Lane-batch net/frontier registrations, applied after every
+            // Lane-batch path/net registrations, applied after every
             // epoch bump above so the group snapshots carry the current
             // epochs.
             for reg in &sweep.groups {
@@ -638,10 +643,11 @@ impl<'a> TpGreed<'a> {
     /// classified out first; the remaining *previews* run as 64-wide
     /// lane batches.
     ///
-    /// With `cfg.threads > 1` and at least [`SPAWN_MIN_PREVIEWS`] worth
-    /// of preview work, the batches are fanned across a scoped thread
-    /// pool; each worker owns one clone of the lane engine for the whole
-    /// sweep, and previews stay thread-local to that clone. Evaluations
+    /// With more than one worker (see [`TpGreed::with_threads`]) and at
+    /// least [`SPAWN_MIN_PREVIEWS`] worth of preview work, the batches
+    /// are fanned across a scoped thread pool; each worker owns one
+    /// clone of the lane engine for the whole sweep, and previews stay
+    /// thread-local to that clone. Evaluations
     /// are independent — a batch undo restores the engine exactly and the
     /// union-find roots are snapshotted up front — so the result vector
     /// is identical to the sequential sweep's, element for element, at
@@ -695,7 +701,7 @@ impl<'a> TpGreed<'a> {
         // never of scheduling.
         jobs.sort_unstable_by_key(|&(_, cand)| (self.cone_order[cand as usize / 2], cand));
         let groups: Vec<&[(u32, u32)]> = jobs.chunks(LANES).collect();
-        let threads = Threads::from_knob(self.cfg.threads);
+        let threads = self.threads;
         let spawn =
             threads.get() > 1 && jobs.len() >= SPAWN_MIN_PREVIEWS && groups.len() >= threads.get();
         let results: Vec<(Vec<(u32, GainEval)>, GroupReg)> = if spawn {
@@ -722,7 +728,7 @@ impl<'a> TpGreed<'a> {
 
     /// Starts one candidate's registration (incremental mode) under a
     /// fresh epoch and records its classify-time net watchers; a lane
-    /// candidate's path/net/frontier registrations follow batched in
+    /// candidate's path/net registrations follow batched in
     /// [`TpGreed::register_group`]. Entries written under earlier epochs
     /// become stale and are dropped lazily — on marking, and on append
     /// when a list is about to grow — so re-evaluating a candidate never
@@ -740,11 +746,11 @@ impl<'a> TpGreed<'a> {
         }
     }
 
-    /// Applies one lane batch's net/frontier registrations: snapshots the
+    /// Applies one lane batch's path/net registrations: snapshots the
     /// lanes' `(candidate, epoch)` pairs into the group table — epochs
     /// were bumped by the per-candidate [`TpGreed::register_watchers`]
     /// pass just before — and pushes one [`WatchEntry::Group`] per union
-    /// net and frontier gate.
+    /// net and touched path.
     fn register_group(&mut self, reg: &GroupReg) {
         if reg.cands.is_empty() {
             return;
@@ -756,14 +762,6 @@ impl<'a> TpGreed<'a> {
         for &(net, mask) in &reg.nets {
             push_entry_watcher(
                 &mut self.net_watchers[net as usize],
-                &self.watch_epoch,
-                &self.watch_groups,
-                WatchEntry::Group(gid, mask),
-            );
-        }
-        for &(gate, mask) in &reg.gates {
-            push_entry_watcher(
-                &mut self.gate_watchers[gate as usize],
                 &self.watch_epoch,
                 &self.watch_groups,
                 WatchEntry::Group(gid, mask),
@@ -841,24 +839,33 @@ impl<'a> TpGreed<'a> {
                     }
                 }
             }
+        }
+        // A candidate's preview depends on the committed value of every
+        // fanin of every gate its wave reached, whether the wave changed
+        // that gate or not: a NAND held at 1 by a committed 0 on a side
+        // input stops the wave until a commit releases that input, and a
+        // NAND the wave turned from 1 to X turns to 0 once a commit sets
+        // its other input. In neither case does the NAND's own committed
+        // value change. The gates a wave reaches are exactly the sinks of
+        // the nets it changes, so the candidates to re-examine are the
+        // watchers of every fanin of every sink of a changed net (the
+        // changed nets themselves included).
+        let mut reached: Vec<u32> = delta
+            .iter()
+            .flat_map(|a| view.comb_fanouts(a.net.index()))
+            .flat_map(|&sink| view.fanin(sink as usize))
+            .copied()
+            .chain(delta.iter().map(|a| a.net.index() as u32))
+            .collect();
+        reached.sort_unstable();
+        reached.dedup();
+        for net in reached {
             mark_entry_watchers(
                 &mut self.dirty,
                 &self.watch_epoch,
                 &self.watch_groups,
-                &mut self.net_watchers[a.net.index()],
+                &mut self.net_watchers[net as usize],
             );
-            // A newly determined net can unblock a frontier gate of some
-            // candidate's wave: re-examine candidates watching any sink
-            // of this net. (Frontier gates are always combinational, so
-            // the combinational fanouts cover every possible watcher.)
-            for &sink in view.comb_fanouts(a.net.index()) {
-                mark_entry_watchers(
-                    &mut self.dirty,
-                    &self.watch_epoch,
-                    &self.watch_groups,
-                    &mut self.gate_watchers[sink as usize],
-                );
-            }
         }
         for ai in 0..self.scratch.accs.len() {
             let acc = self.scratch.accs[ai];
@@ -990,29 +997,27 @@ struct GainEval {
     gain: f64,
     /// The candidate net itself when its value was already implied
     /// (→ `net_watchers`). Previewed candidates leave this `None` — their
-    /// path/net/frontier registrations travel batched in [`GroupReg`].
+    /// path/net registrations travel batched in [`GroupReg`].
     watch_net: Option<GateId>,
 }
 
-/// One lane batch's path/net/frontier registrations, produced by
+/// One lane batch's path/net registrations, produced by
 /// [`EvalCtx::lane_group`] under `register` and applied by the master
 /// after the per-candidate epoch bumps. Instead of registering each
 /// candidate on each of its changed nets individually, a batch registers
 /// its *union* change record once — one entry per union net carrying the
 /// lanes-changed mask — which is what makes registration cost per change
-/// drop with lane occupancy. The net and frontier records keep invalid
-/// lanes: an invalid implication can become valid or extend after a
-/// later commit, so the incremental mode must re-examine it when its cone
-/// changes. Pure data; workers produce these, the master applies them in
-/// group order.
+/// drop with lane occupancy. The net record keeps invalid lanes: an
+/// invalid implication can become valid or extend after a later commit,
+/// so the incremental mode must re-examine it when its cone changes.
+/// Pure data; workers produce these, the master applies them in group
+/// order.
 #[derive(Debug, Clone, Default)]
 struct GroupReg {
     /// Candidates by lane, in lane order.
     cands: Vec<u32>,
     /// Union change record `(net index, lanes-changed mask)`.
     nets: Vec<(u32, u64)>,
-    /// Union frontier record `(gate index, lanes-at-frontier mask)`.
-    gates: Vec<(u32, u64)>,
     /// Touched-path record `(path index, lanes-that-touched mask)`,
     /// invalid lanes already excluded.
     paths: Vec<(u32, u64)>,
@@ -1344,7 +1349,6 @@ impl EvalCtx<'_, '_> {
             GroupReg {
                 cands: group.iter().map(|&(_, cand)| cand).collect(),
                 nets: eng.union_changes().to_vec(),
-                gates: eng.union_frontier().to_vec(),
                 paths: reg_paths,
             }
         } else {
@@ -1670,7 +1674,7 @@ mod tests {
         tp.establish_ready_paths();
         tp.run_incremental().unwrap();
         assert!(!tp.test_points.is_empty(), "the run must exercise re-evaluation");
-        let lists = tp.path_watchers.iter().chain(&tp.net_watchers).chain(&tp.gate_watchers);
+        let lists = tp.path_watchers.iter().chain(&tp.net_watchers);
         for list in lists {
             let mut live: Vec<u32> = Vec::new();
             for e in list {
@@ -1761,25 +1765,19 @@ mod config_tests {
         }
     }
 
-    /// The `threads` knob must never change the outcome: for both gain
-    /// strategies, every worker count selects the exact same test-point
-    /// sequence and scan paths as the sequential run.
+    /// The worker count must never change the outcome: for both gain
+    /// strategies, every [`TpGreed::with_threads`] setting selects the
+    /// exact same test-point sequence and scan paths as the sequential
+    /// run.
     #[test]
     fn parallel_selections_match_sequential() {
         for seed in [7, 8, 9] {
             let n = workload(seed);
             for update in [GainUpdate::Full, GainUpdate::Incremental] {
-                let base = TpGreed::new(
-                    &n,
-                    TpGreedConfig { gain_update: update, threads: 1, ..TpGreedConfig::default() },
-                )
-                .run();
+                let cfg = TpGreedConfig { gain_update: update, ..TpGreedConfig::default() };
+                let base = TpGreed::new(&n, cfg.clone()).run();
                 for threads in [2, 4, 0] {
-                    let par = TpGreed::new(
-                        &n,
-                        TpGreedConfig { gain_update: update, threads, ..TpGreedConfig::default() },
-                    )
-                    .run();
+                    let par = TpGreed::new(&n, cfg.clone()).with_threads(threads).run();
                     assert_eq!(
                         par.test_points, base.test_points,
                         "seed {seed} {update:?} threads {threads}"
@@ -1912,9 +1910,9 @@ mod config_tests {
         for n in &circuits {
             for gain_model in [GainModel::PathCount, GainModel::Scoap] {
                 for threads in [1, 0] {
-                    let cfg = TpGreedConfig { gain_model, threads, ..TpGreedConfig::default() };
+                    let cfg = TpGreedConfig { gain_model, ..TpGreedConfig::default() };
                     let paths = enumerate_paths(n, cfg.k_bound, cfg.max_paths);
-                    let mut tp = TpGreed::with_paths(n, cfg, paths);
+                    let mut tp = TpGreed::with_paths(n, cfg, paths).with_threads(threads);
                     tp.establish_ready_paths();
                     let all: Vec<usize> = (0..tp.gains.len()).collect();
                     let thirds: Vec<usize> = all.iter().copied().filter(|c| c % 3 == 1).collect();

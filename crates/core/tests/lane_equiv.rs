@@ -5,13 +5,14 @@
 //! layers of evidence:
 //!
 //! 1. a property test comparing a full 64-lane batch against 64 scalar
-//!    previews net-for-net — changes, `frontier()`, per-net values, and
-//!    the post-undo state — on randomly generated circuits;
+//!    previews net-for-net — changes, per-net values, and the post-undo
+//!    state — on randomly generated circuits;
 //! 2. a midsize debug-build check that TPGREED selections are identical
 //!    across gain-update modes (Full/Incremental) and thread counts,
 //!    against the paper's baseline `(GainUpdate::Full, threads 1)`;
-//! 3. an `#[ignore]`d ≥10k-gate version of (2) that CI runs in release
-//!    (see `ci.sh`).
+//! 3. `#[ignore]`d release-only checks that CI runs (see `ci.sh`): a
+//!    ≥10k-gate version of (2), and Incremental ≡ Full on two suite
+//!    circuits where Incremental once committed a stale gain.
 //!
 //! Per-candidate gains are checked against a literal Equation 1
 //! evaluation by the unit test `sweep_gains_match_the_equation_1_oracle`
@@ -19,9 +20,9 @@
 
 use proptest::prelude::*;
 use tpi_core::{GainUpdate, TpGreed, TpGreedConfig};
-use tpi_netlist::{GateId, Netlist};
+use tpi_netlist::{parse_blif, write_blif, GateId, Netlist};
 use tpi_sim::{Implication, LaneEngine, Trit, LANES};
-use tpi_workloads::{generate, CircuitSpec, StructureClass};
+use tpi_workloads::{generate, suite, CircuitSpec, StructureClass};
 
 /// A generated mixed-structure circuit for the property test.
 fn prop_circuit(gates: usize, seed: u64) -> Netlist {
@@ -57,8 +58,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// One 64-lane batch must match 64 independent scalar previews:
-    /// same change set, same values net for net, same `frontier()`,
-    /// and an undo that restores the exact committed mirror.
+    /// same change set, same values net for net, and an undo that
+    /// restores the exact committed mirror.
     #[test]
     fn lane_batch_matches_64_scalar_previews(
         gates in 150usize..600,
@@ -90,13 +91,6 @@ proptest! {
             want.sort_unstable_by_key(|a| a.net.index());
             prop_assert_eq!(got, want, "lane {} change set", lane);
 
-            let mut got_f: Vec<usize> =
-                lanes.lane_frontier(lane).iter().map(|g| g.index()).collect();
-            got_f.sort_unstable();
-            let mut want_f: Vec<usize> = pv.frontier().iter().map(|g| g.index()).collect();
-            want_f.sort_unstable();
-            prop_assert_eq!(got_f, want_f, "lane {} frontier", lane);
-
             imp.undo_preview(pv);
         }
 
@@ -118,8 +112,8 @@ type Fingerprint = (Vec<(GateId, Trit)>, Vec<(GateId, GateId)>, usize);
 /// Runs TPGREED on `n` under the given mode/threads and returns the
 /// deterministic selection fingerprint.
 fn selections(n: &Netlist, gain_update: GainUpdate, threads: usize) -> Fingerprint {
-    let cfg = TpGreedConfig { gain_update, threads, ..TpGreedConfig::default() };
-    let (outcome, paths) = TpGreed::new(n, cfg).run_with_paths();
+    let cfg = TpGreedConfig { gain_update, ..TpGreedConfig::default() };
+    let (outcome, paths) = TpGreed::new(n, cfg).with_threads(threads).run_with_paths();
     (outcome.test_points.clone(), outcome.scan_path_endpoints(&paths), outcome.iterations)
 }
 
@@ -174,4 +168,43 @@ fn modes_and_threads_select_identically_10k() {
     });
     assert!(n.gate_count() >= 10_000, "workload shrank below 10k gates: {}", n.gate_count());
     assert_all_agree(&n);
+}
+
+/// Incremental TPGREED must select exactly what Full selects, on a
+/// circuit of the Table II suite, optionally re-seeded and round-tripped
+/// through BLIF (which renumbers the gates). Both cases below once
+/// diverged: Incremental committed a candidate on a gain from before a
+/// commit that changed a fanin of a gate its preview wave had reached
+/// (`tests/regressions.rs` holds a hand-built instance).
+fn assert_incremental_matches_full(name: &str, seed: Option<u64>, blif: bool) {
+    let mut spec = suite().into_iter().find(|s| s.name == name).expect("a suite circuit");
+    if let Some(seed) = seed {
+        spec.seed = seed;
+    }
+    let mut n = generate(&spec);
+    if blif {
+        n = parse_blif(&write_blif(&n)).expect("written BLIF parses");
+    }
+    let (inc, full) =
+        (selections(&n, GainUpdate::Incremental, 1), selections(&n, GainUpdate::Full, 1));
+    let first = inc.0.iter().zip(&full.0).position(|(a, b)| a != b);
+    assert!(
+        inc == full,
+        "{name}: Incremental diverged from Full (first differing test point: {first:?}; \
+         {} vs {} test points)",
+        inc.0.len(),
+        full.0.len()
+    );
+}
+
+#[test]
+#[ignore = "release-only: run via ci.sh or --include-ignored"]
+fn incremental_matches_full_on_s38417_blif() {
+    assert_incremental_matches_full("s38417", None, true);
+}
+
+#[test]
+#[ignore = "release-only: run via ci.sh or --include-ignored"]
+fn incremental_matches_full_on_reseeded_s15850() {
+    assert_incremental_matches_full("s15850", Some(14_572_278_437_626_255_623), false);
 }

@@ -20,20 +20,15 @@
 use std::process::exit;
 use std::sync::Arc;
 use tpi_gateway::{Gateway, GatewayConfig, GatewayHandler};
-use tpi_net::cli::{ArgCursor, Cli, NetCliOpts};
+use tpi_net::cli::{ArgCursor, NetCliOpts};
 use tpi_net::{write_addr_file, NetServer, ServerConfig};
 
 fn main() {
-    let cli = Cli::parse();
-    if cli.threads != 1 {
-        eprintln!("--threads is a backend-side knob; pass it to tpi-netd");
-        exit(2);
-    }
     let mut net = ServerConfig::default();
     let mut gw = GatewayConfig::default();
     let mut opts = NetCliOpts::default();
 
-    let mut args = ArgCursor::new(cli.args);
+    let mut args = ArgCursor::new(std::env::args().skip(1).collect());
     while let Some(arg) = args.next_arg() {
         if opts.try_flag(&arg, &mut args) {
             continue;

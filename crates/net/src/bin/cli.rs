@@ -21,7 +21,7 @@
 
 use std::process::exit;
 use tpi_core::PartialScanMethod;
-use tpi_net::cli::{ArgCursor, Cli, NetCliOpts};
+use tpi_net::cli::{ArgCursor, NetCliOpts};
 use tpi_net::{ClientError, Connection, WireRequest};
 use tpi_serve::JobStatus;
 
@@ -33,17 +33,12 @@ enum Action {
 }
 
 fn main() {
-    let cli = Cli::parse();
-    if cli.threads != 1 {
-        eprintln!("--threads is a server-side knob; pass it to tpi-netd");
-        exit(2);
-    }
     let mut opts = NetCliOpts::default();
     let mut flow = "full-scan".to_string();
     let mut action = Action::Submit;
     let mut blif_path: Option<String> = None;
 
-    let mut args = ArgCursor::new(cli.args);
+    let mut args = ArgCursor::new(std::env::args().skip(1).collect());
     while let Some(arg) = args.next_arg() {
         if opts.try_flag(&arg, &mut args) {
             continue;

@@ -1,8 +1,11 @@
 //! Shared command-line handling for the workspace binaries.
 //!
-//! The bench binaries, `tpi-netd` and `tpi-cli` all speak the same
-//! dialect: a `--threads N` knob, an optional list of positional names
-//! that restricts what runs, and a handful of `--flag VALUE` pairs.
+//! The binaries all speak the same dialect: `--flag VALUE` pairs read
+//! through [`ArgCursor`], the network flags of [`NetCliOpts`], and, on
+//! the binaries that run flows (the bench binaries and `tpi-netd`), a
+//! `--threads N` knob plus an optional list of positional names that
+//! restricts what runs ([`Cli`]). `tpi-cli` and `tpi-gatewayd` run no
+//! flow, so they take no `--threads`: it is an unknown argument there.
 //! This module holds that dialect in one place so the knobs spell —
 //! and misparse — the same everywhere. It lives in `tpi-net` (the
 //! lowest crate with binaries).

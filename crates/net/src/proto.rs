@@ -130,9 +130,9 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
 /// A job submission as it travels over the wire: the flow + its
 /// result-relevant config, an optional deadline, and the BLIF text.
 ///
-/// The `threads` knob deliberately does **not** ride along — worker
-/// sizing belongs to the server (payloads are byte-identical at every
-/// setting, so the client cannot observe the difference anyway).
+/// No thread count rides along: worker sizing belongs to the server
+/// (payloads are byte-identical at every setting, so the client cannot
+/// observe the difference anyway).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireRequest {
     /// The flow to run.
@@ -249,7 +249,6 @@ impl WireRequest {
                     gain_update,
                     max_paths,
                     gain_model,
-                    ..TpGreedConfig::default()
                 })
             }
             1 => FlowKind::Partial(PartialScanMethod::Cb),
@@ -721,7 +720,6 @@ mod tests {
             gain_update: GainUpdate::Incremental,
             max_paths: 999,
             gain_model: GainModel::Scoap,
-            threads: 8, // must NOT survive: worker sizing is the server's
         };
         let req = WireRequest {
             flow: FlowKind::FullScan(cfg),
@@ -737,7 +735,6 @@ mod tests {
                 assert_eq!(c.gain_update, GainUpdate::Incremental);
                 assert_eq!(c.max_paths, 999);
                 assert_eq!(c.gain_model, GainModel::Scoap);
-                assert_eq!(c.threads, TpGreedConfig::default().threads);
             }
             _ => panic!("flow kind changed on the wire"),
         }

@@ -64,8 +64,9 @@ pub struct JobSpec {
     /// directly. A deadline is measured from *submission* (queue time
     /// counts); when unset it falls back to the service default. An
     /// attached metrics recorder receives the job's phase spans in
-    /// addition to the per-job [`crate::JobReport::metrics`]. A thread
-    /// override takes precedence over the service-level knob.
+    /// addition to the per-job [`crate::JobReport::metrics`]. Worker
+    /// sizing belongs to the service: the thread count is ignored, and
+    /// every job runs at [`crate::ServiceConfig::threads`].
     pub options: FlowOptions,
 }
 

@@ -259,7 +259,6 @@ pub fn cache_key(fingerprint: u64, flow: &FlowKind) -> CacheKey {
                 h.write_str("gain-model");
                 h.write_str(cfg.gain_model.label());
             }
-            // cfg.threads intentionally not hashed.
         }
         FlowKind::Partial(method) => {
             h.write_str("partial");
@@ -365,15 +364,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_ignores_threads_but_sees_config() {
+    fn cache_key_sees_config() {
         let fp = netlist_fingerprint(&sample());
         let base = TpGreedConfig::default();
-        let mut threaded = base.clone();
-        threaded.threads = 8;
-        assert_eq!(
-            cache_key(fp, &FlowKind::FullScan(base.clone())),
-            cache_key(fp, &FlowKind::FullScan(threaded))
-        );
         let mut kb = base.clone();
         kb.k_bound += 1;
         assert_ne!(

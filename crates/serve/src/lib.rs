@@ -23,12 +23,13 @@
 //!
 //! Payloads are deterministic by construction: they contain only
 //! thread-count-independent counters and results, so a cold run, a warm
-//! cache hit, and a run at any `threads` setting produce byte-identical
-//! bytes for the same netlist + config.
+//! cache hit, and a run at any [`ServiceConfig::threads`] setting produce
+//! byte-identical bytes for the same netlist + config.
 //!
-//! Observability (PR 4): jobs carry their run knobs as a
-//! [`tpi_core::FlowOptions`] (threads / progress / deadline / metrics in
-//! one builder), every live run's phase spans and counters ride on
+//! Worker sizing belongs to the service: every job runs at
+//! [`ServiceConfig::threads`]. Jobs carry their other run knobs as a
+//! [`tpi_core::FlowOptions`] (progress / deadline / metrics; its thread
+//! count is ignored), every live run's phase spans and counters ride on
 //! [`JobReport::metrics`] as a [`tpi_obs::FlowMetrics`], and each report
 //! also snapshots the aggregate service metrics — job counts, cache hit
 //! rate, queue-latency histogram — as [`MetricsSnapshot`]

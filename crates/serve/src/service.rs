@@ -19,8 +19,10 @@ use tpi_par::{Threads, WorkerPool};
 /// Service-wide configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads (`0` = all hardware threads). Payloads are
-    /// byte-identical at every setting; this only changes throughput.
+    /// Worker threads (`0` = all hardware threads): the size of the job
+    /// pool, and the thread count every job's flow runs at. Payloads
+    /// are byte-identical at every setting; this only changes
+    /// throughput.
     pub threads: usize,
     /// In-memory LRU capacity, in payloads.
     pub cache_capacity: usize,
@@ -244,9 +246,10 @@ impl MetricsSnapshot {
 struct Shared {
     cache: Mutex<ResultCache>,
     metrics: Metrics,
-    /// Service-level observability: queue-latency and job-wall
-    /// histograms (per-job span trees live in per-job recorders).
+    /// Service-level observability: the queue-latency histogram
+    /// (per-job span trees live in per-job recorders).
     obs: Recorder,
+    /// The `ServiceConfig::threads` knob every job runs at.
     threads: usize,
 }
 
@@ -447,7 +450,6 @@ fn execute(
             JobStatus::Canceled => m.canceled.fetch_add(1, Ordering::Relaxed),
             JobStatus::Failed(_) => m.failed.fetch_add(1, Ordering::Relaxed),
         };
-        shared.obs.observe("job_wall", t0.elapsed());
         JobReport {
             id,
             flow: flow_label,
@@ -588,7 +590,8 @@ fn status_for(kind: CancelKind) -> JobStatus {
     }
 }
 
-/// Runs the requested flow and renders its deterministic payload.
+/// Runs the requested flow at the service's thread count and renders
+/// its deterministic payload.
 fn run_flow(
     shared: &Shared,
     flow: &FlowKind,
@@ -596,16 +599,13 @@ fn run_flow(
     progress: &Arc<Progress>,
     rec: &Arc<Recorder>,
 ) -> Result<String, FlowError> {
-    let opts = FlowOptions::new().with_progress(Arc::clone(progress)).with_metrics(Arc::clone(rec));
+    let opts = FlowOptions::new()
+        .with_threads(shared.threads)
+        .with_progress(Arc::clone(progress))
+        .with_metrics(Arc::clone(rec));
     match flow {
         FlowKind::FullScan(cfg) => {
-            let mut cfg = cfg.clone();
-            if cfg.threads == 1 {
-                // An unset per-job knob inherits the service's.
-                cfg.threads = shared.threads;
-            }
-            let r =
-                FullScanFlow { config: cfg, ..FullScanFlow::default() }.run_with(netlist, &opts)?;
+            let r = FullScanFlow { config: cfg.clone() }.run_with(netlist, &opts)?;
             let mut o = JsonObject::new();
             o.field_str("schema", "tpi-serve/v1")
                 .field_str("circuit", &r.row.circuit)
@@ -625,8 +625,7 @@ fn run_flow(
             Ok(o.finish())
         }
         FlowKind::Partial(method) => {
-            let r = PartialScanFlow::new(*method)
-                .run_with(netlist, &opts.with_threads(shared.threads))?;
+            let r = PartialScanFlow::new(*method).run_with(netlist, &opts)?;
             let mut o = JsonObject::new();
             o.field_str("schema", "tpi-serve/v1")
                 .field_str("circuit", &r.row.circuit)

@@ -21,7 +21,6 @@ pub struct Preview {
     was_forced: bool,
     old_net_value: Trit,
     changes: Vec<Assignment>,
-    frontier: Vec<GateId>,
 }
 
 impl Preview {
@@ -30,16 +29,6 @@ impl Preview {
     #[inline]
     pub fn changes(&self) -> &[Assignment] {
         &self.changes
-    }
-
-    /// Gates the propagation *visited but left undetermined*: the wave
-    /// stopped there because other inputs were unknown. If any of their
-    /// inputs later becomes a constant, re-running the same trial could
-    /// imply strictly more — incremental bookkeeping (TPGREED's gain
-    /// cache) watches exactly these gates.
-    #[inline]
-    pub fn frontier(&self) -> &[GateId] {
-        &self.frontier
     }
 }
 
@@ -189,15 +178,6 @@ impl<'a> Implication<'a> {
     }
 
     fn set_and_propagate(&mut self, net: GateId, value: Trit) -> Vec<Assignment> {
-        self.propagate_collecting(net, value, None)
-    }
-
-    fn propagate_collecting(
-        &mut self,
-        net: GateId,
-        value: Trit,
-        mut frontier: Option<&mut Vec<GateId>>,
-    ) -> Vec<Assignment> {
         let mut delta = Vec::new();
         if self.values[net.index()] == value {
             return delta;
@@ -217,11 +197,6 @@ impl<'a> Implication<'a> {
             }
             let new = self.derive(g);
             if new == self.values[g.index()] {
-                if !new.is_known() {
-                    if let Some(f) = frontier.as_deref_mut() {
-                        f.push(g);
-                    }
-                }
                 continue;
             }
             self.values[g.index()] = new;
@@ -246,9 +221,8 @@ impl<'a> Implication<'a> {
         let was_forced = self.forced[net.index()];
         let old_net_value = self.values[net.index()];
         self.forced[net.index()] = true;
-        let mut frontier = Vec::new();
-        let changes = self.propagate_collecting(net, value, Some(&mut frontier));
-        Preview { net, was_forced, old_net_value, changes, frontier }
+        let changes = self.set_and_propagate(net, value);
+        Preview { net, was_forced, old_net_value, changes }
     }
 
     /// Reverts a [`Implication::preview_force`].

@@ -28,7 +28,7 @@
 //! The engine mirrors a scalar [`Implication`] base state (kept in sync
 //! after every committed force via [`LaneEngine::apply_committed`]) and
 //! guarantees **bit-exact equivalence** with 64 scalar previews: each
-//! lane's changed-net list (in wave order), frontier list, and implied
+//! lane's changed-net list (in wave order) and implied
 //! values are identical to what `preview_force` on the scalar engine
 //! would report — the `lane_engine_matches_scalar_previews` property
 //! test in the repository test suite holds it to that.
@@ -84,13 +84,11 @@ pub struct LaneEngine {
     /// order: one entry per visited net that changed in any lane (a net
     /// rooting several lanes appears once per rooting lane). This is the
     /// engine's *primary* output: everything per-lane — changed nets,
-    /// trial values, frontier membership — is a mask-filtered view of it
+    /// trial values — is a mask-filtered view of it
     /// plus the planes, so consumers scale with the union size, not with
     /// `64 × cascade`. Per-lane lists are reconstructed on demand by
     /// [`LaneEngine::lane_changes`] (tests and debugging).
     union_changes: Vec<(u32, u64)>,
-    /// Union frontier record `(gate index, lanes-at-frontier mask)`.
-    union_frontier: Vec<(u32, u64)>,
 }
 
 impl LaneEngine {
@@ -122,7 +120,6 @@ impl LaneEngine {
             undo: Vec::new(),
             wave: vec![0; n.div_ceil(64)],
             union_changes: Vec::new(),
-            union_frontier: Vec::new(),
         }
     }
 
@@ -167,14 +164,6 @@ impl LaneEngine {
         &self.union_changes
     }
 
-    /// Union frontier record of the open batch: `(gate index, mask)`
-    /// where bit `l` is set iff the gate is on lane `l`'s frontier.
-    /// Valid until the next [`LaneEngine::preview_batch`].
-    #[inline]
-    pub fn union_frontier(&self) -> &[(u32, u64)] {
-        &self.union_frontier
-    }
-
     /// Raw plane words of `net` — bit `l` of each word is lane `l`'s
     /// trial value/known bit. The word-at-a-time view of
     /// [`LaneEngine::lane_value`] for consumers processing all lanes of
@@ -204,18 +193,6 @@ impl LaneEngine {
             .collect()
     }
 
-    /// Reconstructs lane `lane`'s frontier list — identical to
-    /// `Preview::frontier()` of the equivalent scalar `preview_force`.
-    /// O(union); meant for tests and debugging.
-    pub fn lane_frontier(&self, lane: usize) -> Vec<GateId> {
-        let bit = 1u64 << lane;
-        self.union_frontier
-            .iter()
-            .filter(|&&(_, mask)| mask & bit != 0)
-            .map(|&(gate, _)| GateId::from_index(gate as usize))
-            .collect()
-    }
-
     fn save(&mut self, i: usize) {
         if self.flags[i] & FLAG_SAVED == 0 {
             self.flags[i] |= FLAG_SAVED;
@@ -235,8 +212,8 @@ impl LaneEngine {
     /// propagates all lanes forward in one ordered pass over the union
     /// of the fanout cones. The engine then holds every lane's trial
     /// state simultaneously (readable through [`LaneEngine::lane_value`],
-    /// [`LaneEngine::planes`], [`LaneEngine::union_changes`] and
-    /// [`LaneEngine::union_frontier`]) until [`LaneEngine::undo_batch`].
+    /// [`LaneEngine::planes`] and [`LaneEngine::union_changes`]) until
+    /// [`LaneEngine::undo_batch`].
     ///
     /// Caller contract (checked by debug assertions): at most one batch
     /// open at a time; every root is non-forced in the base state and
@@ -249,7 +226,6 @@ impl LaneEngine {
         debug_assert!(self.wave.iter().all(|&w| w == 0), "worklist drained by the last batch");
         let view = Arc::clone(&self.view);
         self.union_changes.clear();
-        self.union_frontier.clear();
         for (lane, &(net, value)) in roots.iter().enumerate() {
             let i = net.index();
             let bit = 1u64 << lane;
@@ -305,10 +281,6 @@ impl LaneEngine {
             // flip (previews can also *lose* constants: forcing an OR
             // input from 1 to 0 turns the output X).
             let ch = (nk ^ ok) | (nk & ok & (nv ^ ov));
-            let fr = t & !ch & !nk;
-            if fr != 0 {
-                self.union_frontier.push((i as u32, fr));
-            }
             if ch != 0 {
                 self.save(i);
                 self.planes[i] = [nv, nk];
@@ -442,7 +414,7 @@ mod tests {
     }
 
     /// One batch with two lanes must reproduce the two scalar previews
-    /// value-for-value, change-for-change, frontier-for-frontier.
+    /// value-for-value and change-for-change.
     #[test]
     fn two_lanes_match_two_scalar_previews() {
         let (n, a, b, _g1, _g2, _o) = diamond();
@@ -453,7 +425,6 @@ mod tests {
         for (lane, &(net, value)) in roots.iter().enumerate() {
             let p = imp.preview_force(net, value);
             assert_eq!(lanes.lane_changes(lane), p.changes(), "lane {lane} changes");
-            assert_eq!(lanes.lane_frontier(lane), p.frontier(), "lane {lane} frontier");
             for g in n.gate_ids() {
                 assert_eq!(lanes.lane_value(lane, g), imp.value(g), "lane {lane} net {g}");
             }

@@ -588,7 +588,8 @@ pub fn run(config: &SoakConfig) -> Summary {
     let sampler = rss::RssSampler::start(Duration::from_millis(200));
     let t0 = Instant::now();
 
-    let cluster = match Cluster::start(&config.cluster, config.threads) {
+    let SoakConfig { cluster: spec, threads: service_threads, .. } = config;
+    let cluster = match Cluster::start(spec, *service_threads) {
         Ok(c) => c,
         Err(e) => {
             return Summary {

@@ -34,10 +34,8 @@ struct Row {
 }
 
 fn measure(n: &Netlist, model: GainModel, fault_cap: usize, podem: PodemConfig) -> Row {
-    let flow = FullScanFlow {
-        config: TpGreedConfig { gain_model: model, ..TpGreedConfig::default() },
-        ..FullScanFlow::default()
-    };
+    let flow =
+        FullScanFlow { config: TpGreedConfig { gain_model: model, ..TpGreedConfig::default() } };
     let t = std::time::Instant::now();
     let r = flow.run(n);
     assert!(r.flush.passed(), "flush must pass under either gain model");

@@ -17,9 +17,9 @@ fn assert_threads_invariant(name: &str, update: GainUpdate) {
     let spec = suite().into_iter().find(|s| s.name == name).expect("suite circuit");
     let n = generate(&spec);
     let cfg = TpGreedConfig { gain_update: update, ..TpGreedConfig::default() };
-    let seq = TpGreed::new(&n, TpGreedConfig { threads: 1, ..cfg.clone() }).run();
+    let seq = TpGreed::new(&n, cfg.clone()).run();
     for threads in [2usize, 4, 0] {
-        let par = TpGreed::new(&n, TpGreedConfig { threads, ..cfg.clone() }).run();
+        let par = TpGreed::new(&n, cfg.clone()).with_threads(threads).run();
         assert_eq!(
             par.test_points, seq.test_points,
             "{name} {update:?}: test points diverged at threads={threads}"

@@ -118,8 +118,8 @@ proptest! {
         let n = generate(&spec);
         for update in [GainUpdate::Full, GainUpdate::Incremental] {
             let cfg = TpGreedConfig { gain_update: update, ..TpGreedConfig::default() };
-            let seq = TpGreed::new(&n, TpGreedConfig { threads: 1, ..cfg.clone() }).run();
-            let par = TpGreed::new(&n, TpGreedConfig { threads: 4, ..cfg }).run();
+            let seq = TpGreed::new(&n, cfg.clone()).run();
+            let par = TpGreed::new(&n, cfg).with_threads(4).run();
             prop_assert_eq!(&par.test_points, &seq.test_points, "{:?}", update);
             prop_assert_eq!(&par.scan_paths, &seq.scan_paths, "{:?}", update);
             prop_assert_eq!(par.iterations, seq.iterations, "{:?}", update);

@@ -8,8 +8,12 @@
 //! A spec with extra recorded arguments (`pick`, `k`) replays the
 //! properties taking that argument; spec-only entries replay every
 //! spec-only property.
+//!
+//! The last test is a hand-built circuit, minimized from a generated
+//! workload on which incremental TPGREED diverged from full
+//! recomputation.
 
-use scanpath::netlist::{GateKind, TechLibrary};
+use scanpath::netlist::{GateKind, NetlistBuilder, TechLibrary};
 use scanpath::scan::SGraph;
 use scanpath::sim::{Implication, Trit};
 use scanpath::sta::{ClockConstraint, Sta};
@@ -181,4 +185,52 @@ fn regression_prop484454_k_4() {
 fn regression_prop390521() {
     let s = spec("prop390521", 2, 28, 80, hard_ring_class(), 390521);
     replay_spec_only_properties(&s);
+}
+
+/// Incremental TPGREED once committed a stale gain. After `b = 0`, the
+/// candidate `g0 = 1` is previewed while `h` is still unknown: its wave
+/// turns NAND `g3` from 1 to X. Committing `h = 1` leaves `g3` at 1 but
+/// makes the same preview drive `g3` to 0, and nothing re-examined the
+/// candidate, because `g3` itself did not change. Incremental then
+/// committed `g3 = 0` where Full commits `g0 = 1`. A commit must
+/// re-dirty every candidate whose wave reached a sink of a changed net.
+#[test]
+fn incremental_rescores_candidates_whose_wave_reached_a_changed_fanin() {
+    let mut b = NetlistBuilder::new("stale_gain");
+    b.input("a");
+    b.input("b");
+    b.dff("f0", "d");
+    b.dff("f1", "g13");
+    b.input("c");
+    b.dff("f2", "g8");
+    b.dff("f3", "g9");
+    b.dff("f4", "g11");
+    b.input("e");
+    b.input("h");
+    b.gate(GateKind::Buf, "g0", &["b"]);
+    b.gate(GateKind::Inv, "g1", &["h"]);
+    b.gate(GateKind::Or, "g2", &["f1", "f3"]);
+    b.gate(GateKind::Nand, "g3", &["h", "g0"]);
+    b.gate(GateKind::Nand, "g4", &["g3", "c"]);
+    b.gate(GateKind::And, "g5", &["g4", "f2"]);
+    b.gate(GateKind::Or, "g8", &["g1", "g2"]);
+    b.gate(GateKind::Nand, "g9", &["g5", "h"]);
+    b.gate(GateKind::Nand, "g10", &["e", "g3"]);
+    b.gate(GateKind::Nand, "g11", &["g10", "g2"]);
+    b.gate(GateKind::Xor, "g6", &["a", "f4"]);
+    b.input("d");
+    b.gate(GateKind::And, "g7", &["b", "g6"]);
+    b.gate(GateKind::Or, "g13", &["f0", "g7"]);
+    let n = b.finish().unwrap();
+    let run = |gain_update| {
+        let cfg = TpGreedConfig { gain_update, ..TpGreedConfig::default() };
+        let (outcome, paths) = TpGreed::new(&n, cfg).run_with_paths();
+        verify_outcome(&n, &paths, &outcome).unwrap();
+        let names: Vec<(String, Trit)> =
+            outcome.test_points.iter().map(|&(g, v)| (n.gate_name(g).to_string(), v)).collect();
+        (names, outcome.scan_paths)
+    };
+    let full = run(GainUpdate::Full);
+    assert_eq!(full.0[2], ("g0".to_string(), Trit::One), "the case still exercises g0 = 1");
+    assert_eq!(run(GainUpdate::Incremental), full);
 }
