@@ -115,6 +115,9 @@ echo "== tpi-bench sweep =="
 echo "== lane-engine equivalence (release, includes the 10k-gate circuit) =="
 cargo test -q --release -p tpi-core --test lane_equiv -- --include-ignored
 
+echo "== BLIF parser equivalence (release, includes the 100k-gate design) =="
+cargo test -q --release --test blif_parser -- --include-ignored
+
 echo "== tpi-bench --large: gen50k lane-engine gates =="
 # Fails if selections/deterministic sections differ across --threads
 # 1/2/0, or if tpgreed at --threads 0 is >15% slower than --threads 1

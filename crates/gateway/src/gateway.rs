@@ -43,7 +43,7 @@ use tpi_net::{
     ClientConfig, ClientError, Connection, ErrorCode, ErrorInfo, WireReport, WireRequest,
 };
 use tpi_obs::{JsonArray, JsonObject};
-use tpi_serve::{cache_key, netlist_fingerprint, CacheSource, Fnv64, NetlistSource};
+use tpi_serve::{cache_key, netlist_fingerprint, parse_blif, CacheSource, Fnv64};
 
 /// Tuning for one [`Gateway`].
 #[derive(Debug, Clone)]
@@ -237,7 +237,7 @@ impl Gateway {
     /// backend will reject it, and identical garbage should at least
     /// hit the same backend's error path.
     pub fn routing_key(req: &WireRequest) -> u64 {
-        match NetlistSource::Blif(req.blif.clone()).resolve() {
+        match parse_blif(&req.blif) {
             Ok(netlist) => cache_key(netlist_fingerprint(&netlist), &req.flow).0,
             Err(_) => {
                 let mut h = Fnv64::new();
@@ -525,7 +525,7 @@ mod tests {
         let blif = ".model tiny\n.inputs a b\n.outputs y\n.latch g f0 re clk 0\n\
                     .names a b g\n11 1\n.names f0 y\n1 1\n.end\n";
         let req = WireRequest::full_scan(blif);
-        let netlist = NetlistSource::Blif(blif.into()).resolve().expect("valid BLIF");
+        let netlist = parse_blif(blif).expect("valid BLIF");
         let expect = cache_key(netlist_fingerprint(&netlist), &req.flow).0;
         assert_eq!(Gateway::routing_key(&req), expect);
 

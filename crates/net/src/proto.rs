@@ -273,13 +273,20 @@ impl WireRequest {
 
     /// Builds the server-side [`JobSpec`]: BLIF source, the decoded
     /// flow, and the deadline propagated onto the job's
-    /// [`FlowOptions`].
+    /// [`FlowOptions`]. Copies the BLIF text; a caller that owns the
+    /// request should use [`WireRequest::into_spec`].
     pub fn to_spec(&self) -> JobSpec {
+        self.clone().into_spec()
+    }
+
+    /// [`WireRequest::to_spec`] for an owned request: moves the BLIF
+    /// text into the spec instead of copying it.
+    pub fn into_spec(self) -> JobSpec {
         let mut options = FlowOptions::new();
         if let Some(d) = self.deadline {
             options = options.with_deadline(d);
         }
-        JobSpec { source: NetlistSource::Blif(self.blif.clone()), flow: self.flow.clone(), options }
+        JobSpec { source: NetlistSource::Blif(self.blif), flow: self.flow, options }
     }
 }
 

@@ -63,7 +63,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tpi_obs::{JsonObject, Recorder};
-use tpi_serve::{cache_key, netlist_fingerprint, CacheKey, JobService, NetlistSource};
+use tpi_serve::{cache_key, netlist_fingerprint, parse_blif, CacheKey, JobService};
 
 /// Tuning for one [`NetServer`].
 #[derive(Debug, Clone)]
@@ -167,7 +167,7 @@ impl JobHandler {
         if req.peers.is_empty() {
             return false;
         }
-        let Ok(netlist) = NetlistSource::Blif(req.blif.clone()).resolve() else {
+        let Ok(netlist) = parse_blif(&req.blif) else {
             return false;
         };
         let key = cache_key(netlist_fingerprint(&netlist), &req.flow);
@@ -192,7 +192,7 @@ impl FrameHandler for JobHandler {
         if req.peers.is_empty() {
             // The common case: straight onto the worker pool, report
             // encoded on the worker that ran the job.
-            self.service.submit_with(req.to_spec(), move |report| {
+            self.service.submit_with(req.into_spec(), move |report| {
                 done(Verb::Report, WireReport::from_report(&report).encode());
             });
             return;
@@ -208,7 +208,7 @@ impl FrameHandler for JobHandler {
             .spawn(move || {
                 let seeder = JobHandler { service: Arc::clone(&service), peer_config };
                 seeder.seed_from_peers(&req);
-                service.submit_with(req.to_spec(), move |report| {
+                service.submit_with(req.into_spec(), move |report| {
                     done(Verb::Report, WireReport::from_report(&report).encode());
                 });
             })

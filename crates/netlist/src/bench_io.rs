@@ -118,7 +118,7 @@ pub fn parse_bench(name: &str, src: &str) -> Result<Netlist, ParseBenchError> {
         }
         if let Some(rest) = strip_directive(line, "OUTPUT") {
             let net = rest.ok_or_else(syntax)?;
-            b.output(net.to_string(), net);
+            b.output(&net, &net);
             continue;
         }
         // `name = KIND(args...)`

@@ -16,6 +16,7 @@ use crate::builder::NetlistBuilder;
 use crate::error::NetlistError;
 use crate::gate::GateKind;
 use crate::netlist::Netlist;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -87,15 +88,85 @@ impl From<NetlistError> for ParseBlifError {
     }
 }
 
-/// One parsed `.names` cover, pre-decomposition.
-struct Cover {
-    inputs: Vec<String>,
-    output: String,
-    /// Product terms: one literal per input, '0' / '1' / '-'.
-    cubes: Vec<Vec<u8>>,
+/// The `.names` cover being read, pre-decomposition. Names borrow the
+/// payload (they own their text only on a line stitched from `\`
+/// continuations), and the cubes share one literal buffer. The parser
+/// keeps one `Cover` and clears it for each `.names`.
+#[derive(Default)]
+struct Cover<'a> {
+    inputs: Vec<Cow<'a, str>>,
+    output: Cow<'a, str>,
+    /// Product terms back to back, `inputs.len()` literals each:
+    /// '0' / '1' / '-'.
+    lits: Vec<u8>,
+    /// Number of product terms (`lits` alone cannot tell for a
+    /// zero-input cover).
+    n_cubes: usize,
     /// True when rows are on-set (`1`), false when off-set (`0`).
     on_set: bool,
-    line: usize,
+}
+
+impl Cover<'_> {
+    fn cube(&self, k: usize) -> &[u8] {
+        let w = self.inputs.len();
+        &self.lits[k * w..(k + 1) * w]
+    }
+
+    fn cubes(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        (0..self.n_cubes).map(|k| self.cube(k))
+    }
+}
+
+/// The logical lines of a BLIF text with their 1-based starting line
+/// numbers: comments stripped, `\` continuations stitched, blank lines
+/// skipped, each trimmed. A line borrows the text unless continuations
+/// stitched it. A continuation dangling at the end of the text is
+/// dropped.
+struct LogicalLines<'a> {
+    raw: std::iter::Enumerate<std::str::Lines<'a>>,
+}
+
+impl<'a> Iterator for LogicalLines<'a> {
+    type Item = (usize, Cow<'a, str>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut pending: Option<(usize, String)> = None;
+        loop {
+            let (i, raw) = self.raw.next()?;
+            let line = match raw.find('#') {
+                Some(p) => &raw[..p],
+                None => raw,
+            };
+            if let Some(stripped) = line.trim_end().strip_suffix('\\') {
+                let (_, text) = pending.get_or_insert_with(|| (i + 1, String::new()));
+                text.push_str(stripped);
+                text.push(' ');
+                continue;
+            }
+            let (lineno, full) = match pending.take() {
+                None => (i + 1, Cow::Borrowed(line.trim())),
+                Some((lineno, mut text)) => {
+                    text.push_str(line);
+                    (lineno, Cow::Owned(text.trim().to_string()))
+                }
+            };
+            if !full.is_empty() {
+                return Some((lineno, full));
+            }
+        }
+    }
+}
+
+/// `tok`, a slice of `line`, with the payload's lifetime when `line`
+/// borrows the payload (an owned copy when continuations stitched it).
+fn detach<'a>(line: &Cow<'a, str>, tok: &str) -> Cow<'a, str> {
+    match line {
+        Cow::Borrowed(text) => {
+            let start = tok.as_ptr() as usize - text.as_ptr() as usize;
+            Cow::Borrowed(&text[start..start + tok.len()])
+        }
+        Cow::Owned(_) => Cow::Owned(tok.to_string()),
+    }
 }
 
 /// Parses BLIF text into a validated [`Netlist`].
@@ -104,6 +175,10 @@ struct Cover {
 /// `.latch`, `.end`, comments (`#`) and line continuations (`\`).
 /// Latch types/controls/init values are accepted and ignored (the
 /// workspace models an ideal single-clock DFF).
+///
+/// The parser streams the text: names are slices of `src` until the
+/// builder copies them, and each cover is decomposed as soon as the
+/// next directive closes it.
 ///
 /// # Errors
 /// Returns [`ParseBlifError`] on malformed input or structural
@@ -129,115 +204,89 @@ struct Cover {
 /// # }
 /// ```
 pub fn parse_blif(src: &str) -> Result<Netlist, ParseBlifError> {
-    // Stitch continuations, strip comments.
-    let mut logical: Vec<(usize, String)> = Vec::new();
-    let mut pending = String::new();
-    let mut pending_line = 0usize;
-    for (i, raw) in src.lines().enumerate() {
-        let line = match raw.find('#') {
-            Some(p) => &raw[..p],
-            None => raw,
-        };
-        if pending.is_empty() {
-            pending_line = i + 1;
-        }
-        if let Some(stripped) = line.trim_end().strip_suffix('\\') {
-            pending.push_str(stripped);
-            pending.push(' ');
-            continue;
-        }
-        pending.push_str(line);
-        let full = pending.trim().to_string();
-        pending.clear();
-        if !full.is_empty() {
-            logical.push((pending_line, full));
-        }
-    }
+    let mut model = Cow::Borrowed("blif");
+    // Inputs and outputs go straight to the builder (it keeps them in
+    // lists of their own); cover gates do too, as each cover closes.
+    // Flip-flops must precede every cover gate, so latches wait here.
+    let mut b = NetlistBuilder::new(String::new());
+    let mut latches: Vec<(Cow<'_, str>, Cow<'_, str>)> = Vec::new();
+    let mut cover = Cover::default();
+    let mut open = false;
+    let mut decomp = Decomposer::default();
 
-    let mut model = String::from("blif");
-    let mut inputs: Vec<String> = Vec::new();
-    let mut outputs: Vec<String> = Vec::new();
-    let mut latches: Vec<(String, String)> = Vec::new();
-    let mut covers: Vec<Cover> = Vec::new();
-    let mut current: Option<Cover> = None;
-
-    let flush = |current: &mut Option<Cover>, covers: &mut Vec<Cover>| {
-        if let Some(c) = current.take() {
-            covers.push(c);
-        }
-    };
-
-    for (lineno, text) in logical {
+    for (lineno, text) in (LogicalLines { raw: src.lines().enumerate() }) {
+        let syntax =
+            |text: Cow<'_, str>| ParseBlifError::Syntax { line: lineno, text: text.into_owned() };
         let mut toks = text.split_whitespace();
         // Logical lines are non-empty by construction, but keep this a
         // diagnostic rather than a panic: malformed input must never
         // take the caller down.
         let Some(head) = toks.next() else {
-            return Err(ParseBlifError::Syntax { line: lineno, text });
+            return Err(syntax(text));
         };
+        // Every directive closes the open cover (an unknown one fails
+        // below, and then nothing built matters).
+        if head.starts_with('.') && std::mem::take(&mut open) {
+            decomp.cover(&mut b, &cover);
+        }
         match head {
             ".model" => {
-                flush(&mut current, &mut covers);
                 if let Some(name) = toks.next() {
-                    model = name.to_string();
+                    model = detach(&text, name);
                 }
             }
             ".inputs" => {
-                flush(&mut current, &mut covers);
-                inputs.extend(toks.map(str::to_string));
+                for name in toks {
+                    b.input(name);
+                }
             }
             ".outputs" => {
-                flush(&mut current, &mut covers);
-                outputs.extend(toks.map(str::to_string));
+                for name in toks {
+                    b.output(name, name);
+                }
             }
             ".latch" => {
-                flush(&mut current, &mut covers);
-                let args: Vec<&str> = toks.collect();
-                if args.len() < 2 {
-                    return Err(ParseBlifError::Syntax { line: lineno, text });
-                }
-                latches.push((args[0].to_string(), args[1].to_string()));
+                let (Some(d), Some(q)) = (toks.next(), toks.next()) else {
+                    return Err(syntax(text));
+                };
+                latches.push((detach(&text, d), detach(&text, q)));
             }
             ".names" => {
-                flush(&mut current, &mut covers);
-                let mut names: Vec<String> = toks.map(str::to_string).collect();
-                let Some(output) = names.pop() else {
+                cover.inputs.clear();
+                cover.inputs.extend(toks.map(|t| detach(&text, t)));
+                let Some(output) = cover.inputs.pop() else {
                     return Err(ParseBlifError::MissingOutput { line: lineno });
                 };
-                current = Some(Cover {
-                    inputs: names,
-                    output,
-                    cubes: Vec::new(),
-                    on_set: true,
-                    line: lineno,
-                });
+                cover.output = output;
+                cover.lits.clear();
+                cover.n_cubes = 0;
+                cover.on_set = true;
+                open = true;
             }
-            ".end" => {
-                flush(&mut current, &mut covers);
-            }
-            ".exdc" | ".wire_load_slope" | ".default_input_arrival" | ".clock" => {
-                // Accepted and ignored extensions.
-                flush(&mut current, &mut covers);
-            }
+            // `.end`, and extensions accepted and ignored.
+            ".end" | ".exdc" | ".wire_load_slope" | ".default_input_arrival" | ".clock" => {}
             _ if head.starts_with('.') => {
-                return Err(ParseBlifError::Syntax { line: lineno, text });
+                return Err(syntax(text));
             }
             _ => {
                 // A cover row: `<literals> <output>` or `<output>` for a
-                // zero-input constant.
-                let Some(cover) = current.as_mut() else {
-                    return Err(ParseBlifError::Syntax { line: lineno, text });
-                };
-                let mut parts: Vec<&str> = text.split_whitespace().collect();
-                let Some(out_tok) = parts.pop() else {
-                    return Err(ParseBlifError::MissingOutput { line: lineno });
-                };
+                // zero-input constant. Every token but the last is
+                // literals, possibly split by spaces.
+                if !open {
+                    return Err(syntax(text));
+                }
+                let row = cover.lits.len();
+                let mut out_tok = head;
+                for tok in toks {
+                    cover.lits.extend_from_slice(out_tok.as_bytes());
+                    out_tok = tok;
+                }
                 let on = match out_tok {
                     "1" => true,
                     "0" => false,
-                    _ => return Err(ParseBlifError::Syntax { line: lineno, text }),
+                    _ => return Err(syntax(text)),
                 };
-                let lits: Vec<u8> = parts.concat().bytes().collect();
+                let lits = &cover.lits[row..];
                 if lits.len() != cover.inputs.len() {
                     return Err(ParseBlifError::CubeWidth {
                         line: lineno,
@@ -246,184 +295,160 @@ pub fn parse_blif(src: &str) -> Result<Netlist, ParseBlifError> {
                     });
                 }
                 if !lits.iter().all(|b| matches!(b, b'0' | b'1' | b'-')) {
-                    return Err(ParseBlifError::Syntax { line: lineno, text });
+                    return Err(syntax(text));
                 }
-                if cover.cubes.is_empty() {
+                if cover.n_cubes == 0 {
                     cover.on_set = on;
                 } else if cover.on_set != on {
                     return Err(ParseBlifError::MixedCover { line: lineno });
                 }
-                cover.cubes.push(lits);
+                cover.n_cubes += 1;
             }
         }
     }
-    flush(&mut current, &mut covers);
+    if open {
+        decomp.cover(&mut b, &cover);
+    }
 
-    // ---- Decompose covers into primitive gates. ----
-    let mut b = NetlistBuilder::new(model);
-    for i in &inputs {
-        b.input(i.clone());
-    }
-    for (d, q) in &latches {
-        b.dff(q.clone(), d.clone());
-    }
-    let mut aux = 0usize;
-    let mut inverter_of: HashMap<String, String> = HashMap::new();
-    for cover in &covers {
-        decompose_cover(&mut b, cover, &mut aux, &mut inverter_of)?;
-    }
-    for o in &outputs {
-        b.output(o.to_string(), o.clone());
-    }
+    b.dffs_first(latches.iter().map(|(d, q)| (q.as_ref(), d.as_ref())));
+    b.set_name(model);
     b.finish().map_err(ParseBlifError::from)
 }
 
-/// Emits gates computing one SOP cover, naming the final gate after the
-/// cover's output signal.
-fn decompose_cover(
-    b: &mut NetlistBuilder,
-    cover: &Cover,
-    aux: &mut usize,
-    inverter_of: &mut HashMap<String, String>,
-) -> Result<(), ParseBlifError> {
-    // Constant covers.
-    if cover.inputs.is_empty() || cover.cubes.is_empty() {
-        let one = !cover.cubes.is_empty() && cover.on_set;
-        // `.names f` with a `1` row is constant one; an empty cover (or
-        // off-set-only degenerate forms) is constant zero.
-        let kind = if one { GateKind::Const1 } else { GateKind::Const0 };
-        b.gate(kind, cover.output.clone(), &[]);
-        return Ok(());
-    }
-    // Single-cube, single-literal covers map directly to BUF / INV named
-    // after the output — this also makes a write/parse round trip stable.
-    if cover.cubes.len() == 1 {
-        let lits: Vec<(usize, u8)> = cover.cubes[0]
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v != b'-')
-            .map(|(i, &v)| (i, v))
-            .collect();
-        if lits.is_empty() {
-            let kind = if cover.on_set { GateKind::Const1 } else { GateKind::Const0 };
-            b.gate(kind, cover.output.clone(), &[]);
-            return Ok(());
+/// Turns covers into primitive gates. Inverters of negative literals
+/// are shared per variable across the whole design and named with a
+/// global counter, so they can never collide with re-parsed gate names.
+#[derive(Default)]
+struct Decomposer<'a> {
+    aux: usize,
+    inverter_of: HashMap<Cow<'a, str>, String>,
+}
+
+impl<'a> Decomposer<'a> {
+    /// Emits gates computing one SOP cover, naming the final gate after
+    /// the cover's output signal.
+    fn cover(&mut self, b: &mut NetlistBuilder, cover: &Cover<'a>) {
+        let output = cover.output.as_ref();
+        // Constant covers.
+        if cover.inputs.is_empty() || cover.n_cubes == 0 {
+            let one = cover.n_cubes != 0 && cover.on_set;
+            // `.names f` with a `1` row is constant one; an empty cover
+            // (or off-set-only degenerate forms) is constant zero.
+            let kind = if one { GateKind::Const1 } else { GateKind::Const0 };
+            b.gate(kind, output, &[]);
+            return;
         }
-        if lits.len() == 1 {
-            let (i, v) = lits[0];
-            let invert = (v == b'0') == cover.on_set;
-            let kind = if invert { GateKind::Inv } else { GateKind::Buf };
-            b.gate(kind, cover.output.clone(), &[cover.inputs[i].as_str()]);
-            return Ok(());
-        }
-    }
-    // Canonical covers (the exact shapes `write_blif` emits) map back to
-    // single primitive gates, so a write→parse round trip preserves
-    // structure gate-for-gate. Without this, NAND/NOR/XOR/XNOR/MUX
-    // covers decompose into INV/AND/OR trees and a 250k-gate design
-    // inflates ~2.4× every time it crosses the wire.
-    if cover.on_set {
-        let w = cover.inputs.len();
-        let single = |lit: u8| cover.cubes.len() == 1 && cover.cubes[0].iter().all(|&c| c == lit);
-        let one_hot = |hot: u8| {
-            w >= 2
-                && cover.cubes.len() == w
-                && cover.cubes.iter().enumerate().all(|(k, cube)| {
-                    cube.iter().enumerate().all(|(i, &c)| c == if i == k { hot } else { b'-' })
-                })
-        };
-        let pair = |a: &[u8], b: &[u8]| {
-            cover.cubes.len() == 2 && cover.cubes[0] == a && cover.cubes[1] == b
-        };
-        let kind = if w >= 2 && single(b'1') {
-            Some(GateKind::And)
-        } else if w >= 2 && single(b'0') {
-            Some(GateKind::Nor)
-        } else if one_hot(b'1') {
-            Some(GateKind::Or)
-        } else if one_hot(b'0') {
-            Some(GateKind::Nand)
-        } else if w == 2 && pair(b"10", b"01") {
-            Some(GateKind::Xor)
-        } else if w == 2 && pair(b"11", b"00") {
-            Some(GateKind::Xnor)
-        } else if w == 3 && pair(b"01-", b"1-1") {
-            Some(GateKind::Mux)
-        } else {
-            None
-        };
-        if let Some(kind) = kind {
-            let refs: Vec<&str> = cover.inputs.iter().map(String::as_str).collect();
-            b.gate(kind, cover.output.clone(), &refs);
-            return Ok(());
-        }
-    }
-    // Literal factory: returns the signal name for var / var'. Inverters
-    // are shared per variable and named with a global counter, so they
-    // can never collide with re-parsed gate names.
-    let literal = |b: &mut NetlistBuilder,
-                   inverter_of: &mut HashMap<String, String>,
-                   aux: &mut usize,
-                   var: &str,
-                   positive: bool| {
-        if positive {
-            var.to_string()
-        } else if let Some(n) = inverter_of.get(var) {
-            n.clone()
-        } else {
-            *aux += 1;
-            let name = format!("{var}__not{aux}");
-            b.gate(GateKind::Inv, name.clone(), &[var]);
-            inverter_of.insert(var.to_string(), name.clone());
-            name
-        }
-    };
-    // One AND (or passthrough) per cube; term names derive from the
-    // cover's own output name to stay collision-free across re-parses.
-    let mut terms: Vec<String> = Vec::new();
-    for (k, cube) in cover.cubes.iter().enumerate() {
-        let mut lits: Vec<String> = Vec::new();
-        for (var, &v) in cover.inputs.iter().zip(cube) {
-            match v {
-                b'1' => lits.push(literal(b, inverter_of, aux, var, true)),
-                b'0' => lits.push(literal(b, inverter_of, aux, var, false)),
+        // Single-cube, single-literal covers map directly to BUF / INV
+        // named after the output — this also makes a write/parse round
+        // trip stable.
+        if cover.n_cubes == 1 {
+            let mut lits = cover.cube(0).iter().enumerate().filter(|&(_, &v)| v != b'-');
+            match (lits.next(), lits.next()) {
+                (None, _) => {
+                    let kind = if cover.on_set { GateKind::Const1 } else { GateKind::Const0 };
+                    b.gate(kind, output, &[]);
+                    return;
+                }
+                (Some((i, &v)), None) => {
+                    let invert = (v == b'0') == cover.on_set;
+                    let kind = if invert { GateKind::Inv } else { GateKind::Buf };
+                    b.gate(kind, output, &[&cover.inputs[i]]);
+                    return;
+                }
                 _ => {}
             }
         }
-        match lits.len() {
-            0 => {
-                // An all-don't-care cube makes the cover a tautology.
-                let name = format!("{}__t{k}", cover.output);
-                b.gate(GateKind::Const1, name.clone(), &[]);
-                terms.push(name);
+        // Canonical covers (the exact shapes `write_blif` emits) map back
+        // to single primitive gates, so a write→parse round trip
+        // preserves structure gate-for-gate. Without this,
+        // NAND/NOR/XOR/XNOR/MUX covers decompose into INV/AND/OR trees
+        // and a 250k-gate design inflates ~2.4× every time it crosses
+        // the wire.
+        if let Some(kind) = canonical_kind(cover) {
+            b.gate_from(kind, output, cover.inputs.iter().map(AsRef::as_ref));
+            return;
+        }
+        // One AND (or passthrough) per cube; term names derive from the
+        // cover's own output name to stay collision-free across
+        // re-parses.
+        let mut terms: Vec<Cow<'_, str>> = Vec::new();
+        for (k, cube) in cover.cubes().enumerate() {
+            let mut lits: Vec<Cow<'_, str>> = Vec::new();
+            for (var, &v) in cover.inputs.iter().zip(cube) {
+                match v {
+                    b'1' => lits.push(Cow::Borrowed(var)),
+                    b'0' => {
+                        if !self.inverter_of.contains_key(var.as_ref()) {
+                            self.aux += 1;
+                            let name = format!("{var}__not{}", self.aux);
+                            b.gate(GateKind::Inv, &name, &[var]);
+                            self.inverter_of.insert(var.clone(), name);
+                        }
+                        lits.push(Cow::Owned(self.inverter_of[var.as_ref()].clone()));
+                    }
+                    _ => {}
+                }
             }
-            1 => terms.push(lits.remove(0)),
-            _ => {
-                let name = format!("{}__t{k}", cover.output);
-                let refs: Vec<&str> = lits.iter().map(String::as_str).collect();
-                b.gate(GateKind::And, name.clone(), &refs);
-                terms.push(name);
+            match lits.len() {
+                0 => {
+                    // An all-don't-care cube makes the cover a tautology.
+                    let name = format!("{output}__t{k}");
+                    b.gate(GateKind::Const1, &name, &[]);
+                    terms.push(Cow::Owned(name));
+                }
+                1 => terms.push(lits.remove(0)),
+                _ => {
+                    let name = format!("{output}__t{k}");
+                    b.gate_from(GateKind::And, &name, lits.iter().map(AsRef::as_ref));
+                    terms.push(Cow::Owned(name));
+                }
             }
         }
+        // OR across terms, inverted when the cover was written in the
+        // off-set.
+        let kind = match (terms.len(), cover.on_set) {
+            (1, true) => GateKind::Buf,
+            (1, false) => GateKind::Inv,
+            (_, true) => GateKind::Or,
+            (_, false) => GateKind::Nor,
+        };
+        b.gate_from(kind, output, terms.iter().map(AsRef::as_ref));
     }
-    // OR across terms, inverted when the cover was written in the off-set.
-    let refs: Vec<&str> = terms.iter().map(String::as_str).collect();
-    match (terms.len(), cover.on_set) {
-        (1, true) => {
-            b.gate(GateKind::Buf, cover.output.clone(), &[refs[0]]);
-        }
-        (1, false) => {
-            b.gate(GateKind::Inv, cover.output.clone(), &[refs[0]]);
-        }
-        (_, true) => {
-            b.gate(GateKind::Or, cover.output.clone(), &refs);
-        }
-        (_, false) => {
-            b.gate(GateKind::Nor, cover.output.clone(), &refs);
-        }
+}
+
+/// The primitive gate a cover in one of `write_blif`'s exact shapes
+/// stands for; `None` for any other cover.
+fn canonical_kind(cover: &Cover<'_>) -> Option<GateKind> {
+    if !cover.on_set {
+        return None;
     }
-    let _ = cover.line;
-    Ok(())
+    let w = cover.inputs.len();
+    let single = |lit: u8| cover.n_cubes == 1 && cover.cube(0).iter().all(|&c| c == lit);
+    let one_hot = |hot: u8| {
+        w >= 2
+            && cover.n_cubes == w
+            && cover.cubes().enumerate().all(|(k, cube)| {
+                cube.iter().enumerate().all(|(i, &c)| c == if i == k { hot } else { b'-' })
+            })
+    };
+    let pair = |a: &[u8], b: &[u8]| cover.n_cubes == 2 && cover.cube(0) == a && cover.cube(1) == b;
+    if w >= 2 && single(b'1') {
+        Some(GateKind::And)
+    } else if w >= 2 && single(b'0') {
+        Some(GateKind::Nor)
+    } else if one_hot(b'1') {
+        Some(GateKind::Or)
+    } else if one_hot(b'0') {
+        Some(GateKind::Nand)
+    } else if w == 2 && pair(b"10", b"01") {
+        Some(GateKind::Xor)
+    } else if w == 2 && pair(b"11", b"00") {
+        Some(GateKind::Xnor)
+    } else if w == 3 && pair(b"01-", b"1-1") {
+        Some(GateKind::Mux)
+    } else {
+        None
+    }
 }
 
 /// Serializes a netlist as BLIF. Every primitive gate is emitted as a

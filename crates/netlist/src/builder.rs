@@ -26,9 +26,39 @@ use crate::netlist::Netlist;
 #[derive(Debug, Clone)]
 pub struct NetlistBuilder {
     name: String,
-    inputs: Vec<String>,
-    outputs: Vec<(String, String)>,
-    gates: Vec<(GateKind, String, Vec<String>)>,
+    /// Every declared name, back to back; the lists below hold spans
+    /// into it, so a 100k-gate design costs a handful of allocations
+    /// rather than one per name.
+    names: String,
+    inputs: Vec<Span>,
+    /// `(port, driving net)` pairs.
+    outputs: Vec<(Span, Span)>,
+    gates: Vec<GateDecl>,
+    /// Fanin names of every gate, back to back; a [`GateDecl`] holds
+    /// its range.
+    fanins: Vec<Span>,
+}
+
+/// A half-open range `start..end`, into [`NetlistBuilder::names`] for a
+/// name and into [`NetlistBuilder::fanins`] for a gate's fanin list.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: usize,
+    end: usize,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start..self.end
+    }
+}
+
+/// One declared gate: `name = kind(fanins...)`.
+#[derive(Debug, Clone, Copy)]
+struct GateDecl {
+    kind: GateKind,
+    name: Span,
+    fanins: Span,
 }
 
 impl NetlistBuilder {
@@ -36,35 +66,83 @@ impl NetlistBuilder {
     pub fn new(name: impl Into<String>) -> Self {
         NetlistBuilder {
             name: name.into(),
+            names: String::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
             gates: Vec::new(),
+            fanins: Vec::new(),
         }
     }
 
     /// Declares a primary input.
-    pub fn input(&mut self, name: impl Into<String>) -> &mut Self {
-        self.inputs.push(name.into());
+    pub fn input(&mut self, name: impl AsRef<str>) -> &mut Self {
+        let name = self.push_name(name.as_ref());
+        self.inputs.push(name);
         self
     }
 
     /// Declares a primary output port `name` driven by net `src`.
-    pub fn output(&mut self, name: impl Into<String>, src: impl Into<String>) -> &mut Self {
-        self.outputs.push((name.into(), src.into()));
+    pub fn output(&mut self, name: impl AsRef<str>, src: impl AsRef<str>) -> &mut Self {
+        let name = self.push_name(name.as_ref());
+        let src = self.push_name(src.as_ref());
+        self.outputs.push((name, src));
         self
     }
 
     /// Declares a gate `name = kind(fanins...)`.
-    pub fn gate(&mut self, kind: GateKind, name: impl Into<String>, fanins: &[&str]) -> &mut Self {
-        self.gates.push((kind, name.into(), fanins.iter().map(|s| s.to_string()).collect()));
-        self
+    pub fn gate(&mut self, kind: GateKind, name: impl AsRef<str>, fanins: &[&str]) -> &mut Self {
+        self.gate_from(kind, name.as_ref(), fanins.iter().copied())
     }
 
     /// Shorthand for a D flip-flop `name = DFF(d)`.
-    pub fn dff(&mut self, name: impl Into<String>, d: impl Into<String>) -> &mut Self {
-        let d = d.into();
-        self.gates.push((GateKind::Dff, name.into(), vec![d]));
+    pub fn dff(&mut self, name: impl AsRef<str>, d: impl AsRef<str>) -> &mut Self {
+        self.gate_from(GateKind::Dff, name.as_ref(), [d.as_ref()])
+    }
+
+    /// [`NetlistBuilder::gate`] over any sequence of fanin names, for
+    /// callers whose names are not already a `&[&str]`.
+    pub(crate) fn gate_from<'f>(
+        &mut self,
+        kind: GateKind,
+        name: &str,
+        fanins: impl IntoIterator<Item = &'f str>,
+    ) -> &mut Self {
+        let name = self.push_name(name);
+        let first = self.fanins.len();
+        for fin in fanins {
+            let fin = self.push_name(fin);
+            self.fanins.push(fin);
+        }
+        let fanins = Span { start: first, end: self.fanins.len() };
+        self.gates.push(GateDecl { kind, name, fanins });
         self
+    }
+
+    /// Renames the design; for parsers that learn the name late.
+    pub(crate) fn set_name(&mut self, name: impl Into<String>) {
+        self.name = name.into();
+    }
+
+    /// Declares flip-flops `q = DFF(d)` from `(q, d)` pairs ahead of
+    /// every gate declared so far. BLIF may declare a `.latch` after
+    /// the covers that read it, while the parsed netlist numbers
+    /// flip-flops before every cover gate.
+    pub(crate) fn dffs_first<'f>(&mut self, dffs: impl IntoIterator<Item = (&'f str, &'f str)>) {
+        let declared = self.gates.len();
+        for (q, d) in dffs {
+            self.dff(q, d);
+        }
+        self.gates.rotate_left(declared);
+    }
+
+    fn push_name(&mut self, name: &str) -> Span {
+        let start = self.names.len();
+        self.names.push_str(name);
+        Span { start, end: self.names.len() }
+    }
+
+    fn name_at(&self, span: Span) -> &str {
+        &self.names[span.range()]
     }
 
     /// Resolves all names and produces a validated [`Netlist`].
@@ -74,35 +152,45 @@ impl NetlistBuilder {
     /// combinational cycles.
     pub fn finish(&self) -> Result<Netlist, NetlistError> {
         let mut n = Netlist::new(self.name.clone());
-        for name in &self.inputs {
+        n.reserve(self.inputs.len() + self.gates.len() + self.outputs.len());
+        for &span in &self.inputs {
+            let name = self.name_at(span);
             if n.find(name).is_some() {
-                return Err(NetlistError::DuplicateName(name.clone()));
+                return Err(NetlistError::DuplicateName(name.to_string()));
             }
-            n.add_input(name.clone());
+            n.add_input(name);
         }
-        for (kind, name, _) in &self.gates {
+        let first_gate = n.gate_count();
+        for decl in &self.gates {
+            let name = self.name_at(decl.name);
             if n.find(name).is_some() {
-                return Err(NetlistError::DuplicateName(name.clone()));
+                return Err(NetlistError::DuplicateName(name.to_string()));
             }
-            n.add_gate(*kind, name.clone());
+            n.add_gate(decl.kind, name);
         }
-        for (_, name, fanins) in &self.gates {
-            let g = n.find_required(name)?;
-            for fin in fanins {
-                let src = n.find_required(fin)?;
+        for (i, decl) in self.gates.iter().enumerate() {
+            // No name was taken twice, so gate `i` kept its name and
+            // sits at `first_gate + i` — unless the name was empty,
+            // which `Netlist::add_gate` replaces and `find` never knows.
+            if decl.name.start == decl.name.end {
+                return Err(NetlistError::UnknownName(String::new()));
+            }
+            let g = GateId::from_index(first_gate + i);
+            for &fin in &self.fanins[decl.fanins.range()] {
+                let src = n.find_required(self.name_at(fin))?;
                 n.connect(src, g)?;
             }
         }
-        for (name, src) in &self.outputs {
+        for &(name, src) in &self.outputs {
+            let (name, src) = (self.name_at(name), self.name_at(src));
             let s = n.find_required(src)?;
-            let port_name = if n.find(name).is_some() {
+            if n.find(name).is_some() {
                 // ISCAS89 benches name the output port after the net that
                 // drives it; uniquify with a suffix.
-                format!("{name}__po")
+                n.add_output(format!("{name}__po"), s)?;
             } else {
-                name.clone()
-            };
-            n.add_output(port_name, s)?;
+                n.add_output(name, s)?;
+            }
         }
         n.validate()?;
         Ok(n)

@@ -190,11 +190,10 @@ impl GateKind {
             _ => None,
         }
     }
-}
 
-impl fmt::Display for GateKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The kind's upper-case name, as [`fmt::Display`] prints it.
+    pub fn label(self) -> &'static str {
+        match self {
             GateKind::Input => "INPUT",
             GateKind::Output => "OUTPUT",
             GateKind::And => "AND",
@@ -209,8 +208,13 @@ impl fmt::Display for GateKind {
             GateKind::Dff => "DFF",
             GateKind::Const0 => "CONST0",
             GateKind::Const1 => "CONST1",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for GateKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 

@@ -98,22 +98,19 @@ impl fmt::Display for CacheKey {
 /// commutative kinds (AND/OR/NAND/NOR/XOR/XNOR), in pin order for the
 /// rest (BUF/INV/MUX) — so the parser's invented names never matter.
 pub fn netlist_fingerprint(n: &Netlist) -> u64 {
-    let mut memo: Vec<Option<u64>> = vec![None; n.gate_count()];
-
-    // Iterative post-order DFS: combinational chains can be tens of
-    // thousands of gates deep (shift-register-like structures), which
-    // would overflow the call stack recursively.
-    let mut hash_of = |root: GateId| -> u64 { gate_hash(n, root, &mut memo) };
+    let mut cones =
+        Cones { n, memo: vec![None; n.gate_count()], stack: Vec::new(), fanin_hashes: Vec::new() };
+    let mut hash_of = |root: GateId| -> u64 { cones.hash(root) };
 
     let mut inputs: Vec<&str> = n.inputs().iter().map(|&g| n.gate_name(g)).collect();
     inputs.sort_unstable();
 
-    let mut dffs: Vec<(String, u64)> = n
+    let mut dffs: Vec<(&str, u64)> = n
         .dffs()
         .iter()
         .map(|&ff| {
             let d = n.fanin(ff).first().map(|&src| hash_of(src)).unwrap_or(0);
-            (n.gate_name(ff).to_string(), d)
+            (n.gate_name(ff), d)
         })
         .collect();
     dffs.sort_unstable();
@@ -138,7 +135,7 @@ pub fn netlist_fingerprint(n: &Netlist) -> u64 {
     }
     h.write_u64(dffs.len() as u64);
     for (name, d) in dffs {
-        h.write_str(&name);
+        h.write_str(name);
         h.write_u64(d);
     }
     h.write_u64(outputs.len() as u64);
@@ -148,55 +145,70 @@ pub fn netlist_fingerprint(n: &Netlist) -> u64 {
     h.finish()
 }
 
-/// DAG hash of the cone rooted at `g`, memoized in `memo`.
-fn gate_hash(n: &Netlist, root: GateId, memo: &mut [Option<u64>]) -> u64 {
-    // Explicit two-phase stack: `(gate, expanded)`; a gate is hashed
-    // once all its fanins are.
-    let mut stack: Vec<(GateId, bool)> = vec![(root, false)];
-    while let Some((g, expanded)) = stack.pop() {
-        if memo[g.index()].is_some() {
-            continue;
-        }
-        let kind = n.kind(g);
-        if let Some(leaf) = leaf_hash(n, g, kind) {
-            memo[g.index()] = Some(leaf);
-            continue;
-        }
-        if !expanded {
-            stack.push((g, true));
-            for &f in n.fanin(g) {
-                if memo[f.index()].is_none() {
-                    stack.push((f, false));
-                }
+/// Memoized DAG hashes of cones, plus the scratch buffers that every
+/// root's walk reuses.
+struct Cones<'n> {
+    n: &'n Netlist,
+    memo: Vec<Option<u64>>,
+    /// Iterative post-order DFS: combinational chains can be tens of
+    /// thousands of gates deep (shift-register-like structures), which
+    /// would overflow the call stack recursively. `(gate, expanded)`;
+    /// a gate is hashed once all its fanins are.
+    stack: Vec<(GateId, bool)>,
+    fanin_hashes: Vec<u64>,
+}
+
+impl Cones<'_> {
+    /// DAG hash of the cone rooted at `root`.
+    fn hash(&mut self, root: GateId) -> u64 {
+        let Cones { n, memo, stack, fanin_hashes } = self;
+        stack.push((root, false));
+        while let Some((g, expanded)) = stack.pop() {
+            if memo[g.index()].is_some() {
+                continue;
             }
-            continue;
+            let kind = n.kind(g);
+            if let Some(leaf) = leaf_hash(n, g, kind) {
+                memo[g.index()] = Some(leaf);
+                continue;
+            }
+            if !expanded {
+                stack.push((g, true));
+                for &f in n.fanin(g) {
+                    if memo[f.index()].is_none() {
+                        stack.push((f, false));
+                    }
+                }
+                continue;
+            }
+            fanin_hashes.clear();
+            fanin_hashes.extend(
+                n.fanin(g)
+                    .iter()
+                    .map(|&f| memo[f.index()].expect("post-order: fanins hashed first")),
+            );
+            // A buffer is a wire: hash through it. The BLIF parser inserts
+            // a fresh Buf layer around single-cube covers on every
+            // roundtrip, so keeping Buf in the hash would deny the
+            // fingerprint a fixed point under write_blif/parse_blif.
+            if kind == GateKind::Buf && fanin_hashes.len() == 1 {
+                memo[g.index()] = Some(fanin_hashes[0]);
+                continue;
+            }
+            if commutative(kind) {
+                fanin_hashes.sort_unstable();
+            }
+            let mut h = Fnv64::new();
+            h.write_str("gate");
+            h.write_str(kind.label());
+            h.write_u64(fanin_hashes.len() as u64);
+            for &fh in fanin_hashes.iter() {
+                h.write_u64(fh);
+            }
+            memo[g.index()] = Some(h.finish());
         }
-        let mut fanin_hashes: Vec<u64> = n
-            .fanin(g)
-            .iter()
-            .map(|&f| memo[f.index()].expect("post-order: fanins hashed first"))
-            .collect();
-        // A buffer is a wire: hash through it. The BLIF parser inserts a
-        // fresh Buf layer around single-cube covers on every roundtrip,
-        // so keeping Buf in the hash would deny the fingerprint a fixed
-        // point under write_blif/parse_blif.
-        if kind == GateKind::Buf && fanin_hashes.len() == 1 {
-            memo[g.index()] = Some(fanin_hashes[0]);
-            continue;
-        }
-        if commutative(kind) {
-            fanin_hashes.sort_unstable();
-        }
-        let mut h = Fnv64::new();
-        h.write_str("gate");
-        h.write_str(&kind.to_string());
-        h.write_u64(fanin_hashes.len() as u64);
-        for fh in fanin_hashes {
-            h.write_u64(fh);
-        }
-        memo[g.index()] = Some(h.finish());
+        memo[root.index()].expect("root hashed by the loop above")
     }
-    memo[root.index()].expect("root hashed by the loop above")
 }
 
 /// Hash for grounding gates (those whose identity is their name or

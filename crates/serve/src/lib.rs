@@ -47,3 +47,6 @@ pub use service::{
     JobHandle, JobReport, JobService, JobStatus, JobTicket, MetricsSnapshot, ServiceConfig,
 };
 pub use tpi_core::FlowOptions;
+/// The parser behind [`NetlistSource::Blif`], for callers that key a
+/// borrowed BLIF text without copying it into a source.
+pub use tpi_netlist::parse_blif;
