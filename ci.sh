@@ -19,6 +19,11 @@ cargo clippy -p tpi-dfa --all-targets -- -D warnings
 echo "== tier-1 tests (root package) =="
 cargo test -q
 
+echo "== workspace tests (every crate's unit, integration and doc tests) =="
+# `cargo test -q` above covers the root package only; this runs the
+# netlist, builder, serve, net and every other crate's own tests.
+cargo test -q --workspace
+
 echo "== cargo doc (no deps, warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

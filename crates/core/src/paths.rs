@@ -187,7 +187,17 @@ struct FfPaths {
 /// remembers how to undo its entry mutations (side inputs pushed, parity
 /// flip, on-path mark) when it is popped — the discovery order is
 /// identical to the recursive version's.
-fn dfs_from(n: &Netlist, from: GateId, k_bound: usize, max_paths: usize) -> FfPaths {
+///
+/// `on_path` is the worker's reusable on-path marker, sized here on
+/// first use. Each popped frame clears its own mark, so it is all
+/// `false` again when the DFS ends.
+fn dfs_from(
+    n: &Netlist,
+    from: GateId,
+    k_bound: usize,
+    max_paths: usize,
+    on_path: &mut Vec<bool>,
+) -> FfPaths {
     struct Frame {
         cur: GateId,
         /// Next fanout edge of `cur` to examine.
@@ -199,7 +209,7 @@ fn dfs_from(n: &Netlist, from: GateId, k_bound: usize, max_paths: usize) -> FfPa
     }
     let mut out = FfPaths::default();
     let mut gates: Vec<GateId> = Vec::new();
-    let mut on_path = vec![false; n.gate_count()];
+    on_path.resize(n.gate_count(), false);
     let mut side: Vec<Conn> = Vec::new();
     let mut inverting = false;
     let mut stack = vec![Frame { cur: from, edge: 0, added_sides: 0, flipped: false }];
@@ -336,8 +346,8 @@ pub fn enumerate_paths_with(
 ) -> PathSet {
     let max_paths = clamp_max_paths(max_paths);
     let ffs = n.dffs();
-    let jobs = tpi_par::map_indexed(threads, ffs.len(), &(), |_, i| {
-        dfs_from(n, ffs[i], k_bound, max_paths)
+    let jobs = tpi_par::map_indexed(threads, ffs.len(), &Vec::new(), |on_path, i| {
+        dfs_from(n, ffs[i], k_bound, max_paths, on_path)
     });
     merge_ff_paths(jobs, max_paths)
 }

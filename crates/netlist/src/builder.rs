@@ -147,51 +147,63 @@ impl NetlistBuilder {
 
     /// Resolves all names and produces a validated [`Netlist`].
     ///
+    /// The result, and on failure the first error, is what declaring
+    /// every input and gate, then connecting each gate's fanins in gate
+    /// order, then adding each output would give. The build gets there
+    /// in bulk: one name-index probe per declared name, and every fanin
+    /// and fanout list allocated once at its final length.
+    ///
     /// # Errors
     /// Fails on unknown or duplicate names, arity violations, or
     /// combinational cycles.
     pub fn finish(&self) -> Result<Netlist, NetlistError> {
         let mut n = Netlist::new(self.name.clone());
         n.reserve(self.inputs.len() + self.gates.len() + self.outputs.len());
-        for &span in &self.inputs {
+        let declared = self.inputs.iter().map(|&span| (GateKind::Input, span));
+        let declared = declared.chain(self.gates.iter().map(|decl| (decl.kind, decl.name)));
+        // Declare: one probe both rejects a taken name and takes it.
+        // An empty name gets `Netlist::add_gate`'s generated one.
+        for (kind, span) in declared {
             let name = self.name_at(span);
-            if n.find(name).is_some() {
+            if name.is_empty() {
+                n.add_gate(kind, name);
+            } else if n.add_gate_named(kind, name).is_none() {
                 return Err(NetlistError::DuplicateName(name.to_string()));
             }
-            n.add_input(name);
         }
-        let first_gate = n.gate_count();
-        for decl in &self.gates {
-            let name = self.name_at(decl.name);
-            if n.find(name).is_some() {
-                return Err(NetlistError::DuplicateName(name.to_string()));
-            }
-            n.add_gate(decl.kind, name);
-        }
+        // Resolve every fanin in gate order, checking each pin as
+        // `Netlist::connect` would. No name was taken twice, so gate `i`
+        // kept its name and sits at `first_gate + i` — unless the name
+        // was empty, which `find` never knows.
+        let first_gate = self.inputs.len();
         for (i, decl) in self.gates.iter().enumerate() {
-            // No name was taken twice, so gate `i` kept its name and
-            // sits at `first_gate + i` — unless the name was empty,
-            // which `Netlist::add_gate` replaces and `find` never knows.
             if decl.name.start == decl.name.end {
                 return Err(NetlistError::UnknownName(String::new()));
             }
             let g = GateId::from_index(first_gate + i);
-            for &fin in &self.fanins[decl.fanins.range()] {
+            let names = &self.fanins[decl.fanins.range()];
+            let mut fanins = Vec::with_capacity(names.len());
+            for &fin in names {
                 let src = n.find_required(self.name_at(fin))?;
-                n.connect(src, g)?;
+                n.check_wiring(src, g, fanins.len())?;
+                fanins.push(src);
             }
+            n.set_fanins(g, fanins);
         }
         for &(name, src) in &self.outputs {
             let (name, src) = (self.name_at(name), self.name_at(src));
             let s = n.find_required(src)?;
-            if n.find(name).is_some() {
+            let port = if n.find(name).is_some() {
                 // ISCAS89 benches name the output port after the net that
                 // drives it; uniquify with a suffix.
-                n.add_output(format!("{name}__po"), s)?;
+                n.add_gate(GateKind::Output, format!("{name}__po"))
             } else {
-                n.add_output(name, s)?;
-            }
+                n.add_gate(GateKind::Output, name)
+            };
+            n.check_wiring(s, port, 0)?;
+            n.set_fanins(port, vec![s]);
         }
+        n.wire_fanouts();
         n.validate()?;
         Ok(n)
     }

@@ -249,42 +249,6 @@ impl fmt::Display for Conn {
     }
 }
 
-/// A gate instance: kind, optional name, fanins, fanout bookkeeping.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Gate {
-    pub(crate) kind: GateKind,
-    pub(crate) name: String,
-    pub(crate) fanins: Vec<GateId>,
-    /// `(sink, pin)` pairs; kept sorted by insertion order.
-    pub(crate) fanouts: Vec<(GateId, u32)>,
-}
-
-impl Gate {
-    /// The gate's kind.
-    #[inline]
-    pub fn kind(&self) -> GateKind {
-        self.kind
-    }
-
-    /// The gate's (instance/net) name.
-    #[inline]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Fanin nets in pin order.
-    #[inline]
-    pub fn fanins(&self) -> &[GateId] {
-        &self.fanins
-    }
-
-    /// Fanout `(sink, pin)` pairs.
-    #[inline]
-    pub fn fanouts(&self) -> &[(GateId, u32)] {
-        &self.fanouts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -55,7 +55,7 @@ pub use bench_io::{parse_bench, write_bench, ParseBenchError};
 pub use blif::{parse_blif, write_blif, ParseBlifError};
 pub use builder::NetlistBuilder;
 pub use error::NetlistError;
-pub use gate::{Conn, Gate, GateId, GateKind};
+pub use gate::{Conn, GateId, GateKind};
 pub use library::{Cell, TechLibrary};
 pub use netlist::Netlist;
 pub use region::Region;

@@ -1,8 +1,9 @@
 //! The mutable gate-level netlist graph.
 
 use crate::error::NetlistError;
-use crate::gate::{Conn, Gate, GateId, GateKind};
-use std::collections::HashMap;
+use crate::gate::{Conn, GateId, GateKind};
+use std::fmt::{self, Write as _};
+use std::hash::{BuildHasher, RandomState};
 
 /// A gate-level sequential circuit.
 ///
@@ -15,6 +16,9 @@ use std::collections::HashMap;
 /// paper's transformations need: adding gates, wiring pins, and *splicing*
 /// a new gate into an existing net or connection (test points, scan
 /// multiplexers).
+///
+/// Equality is logical: two netlists are equal when their design names,
+/// test inputs and every gate's kind, name, fanins and fanouts agree.
 ///
 /// # Example
 ///
@@ -34,16 +38,167 @@ use std::collections::HashMap;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Netlist {
     name: String,
     gates: Vec<Gate>,
-    names: HashMap<String, GateId>,
+    /// Every gate name, back to back; each [`Gate`] holds its span.
+    names: String,
+    /// Name lookup over `names`.
+    index: NameIndex,
     /// The dedicated test input `T` (1 = mission mode, 0 = test mode),
     /// created lazily by [`Netlist::ensure_test_input`].
     test_input: Option<GateId>,
     /// Lazily created inverter producing `T'`.
     test_input_bar: Option<GateId>,
+}
+
+/// A gate instance: kind, name, fanins, fanout bookkeeping.
+#[derive(Clone)]
+struct Gate {
+    kind: GateKind,
+    /// `start..end` of the gate's name in [`Netlist::names`].
+    name: (u32, u32),
+    fanins: Vec<GateId>,
+    /// `(sink, pin)` pairs of the net this gate drives.
+    fanouts: Vec<(GateId, u32)>,
+}
+
+/// Open-addressing map from gate name to [`GateId`] over the names in
+/// [`Netlist::names`], with linear probing at no more than 50 % load.
+///
+/// Each slot keeps the low 32 bits of its name's hash. They place the
+/// slot and screen every probe, so a probe reads the arena only on a
+/// full 32-bit match, and growth re-places slots without rehashing a
+/// single name.
+///
+/// The hash is keyed per netlist by [`RandomState`]: names arrive off
+/// the wire, and with a fixed key a peer could send colliding names
+/// and make a parse quadratic.
+#[derive(Clone)]
+struct NameIndex {
+    keys: RandomState,
+    /// Empty or a power of two long; [`FREE`] ids mark free slots.
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+#[derive(Clone, Copy)]
+struct Slot {
+    hash: u32,
+    id: u32,
+}
+
+/// The id of a free [`Slot`]; no gate gets it.
+const FREE: u32 = u32::MAX;
+
+impl NameIndex {
+    fn new() -> Self {
+        NameIndex { keys: RandomState::new(), slots: Vec::new(), len: 0 }
+    }
+
+    fn hash(&self, name: &str) -> u32 {
+        self.keys.hash_one(name) as u32
+    }
+
+    /// Makes room for `additional` more names at no more than 50 % load.
+    fn reserve(&mut self, additional: usize) {
+        let need = (self.len + additional) * 2;
+        if need <= self.slots.len() {
+            return;
+        }
+        let size = need.next_power_of_two().max(8);
+        let old = std::mem::replace(&mut self.slots, vec![Slot { hash: 0, id: FREE }; size]);
+        let mask = size - 1;
+        for slot in old.into_iter().filter(|s| s.id != FREE) {
+            let mut i = slot.hash as usize & mask;
+            while self.slots[i].id != FREE {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
+    }
+
+    /// Looks up `name`, whose hash is `hash`: `Ok` with its gate, or
+    /// `Err` with the free slot that ends its probe sequence.
+    fn probe(&self, hash: u32, name: &str, gates: &[Gate], names: &str) -> Result<GateId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot.id == FREE {
+                return Err(i);
+            }
+            if slot.hash == hash && span(names, gates[slot.id as usize].name) == name {
+                return Ok(GateId(slot.id));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn find(&self, name: &str, gates: &[Gate], names: &str) -> Option<GateId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(self.hash(name), name, gates, names).ok()
+    }
+
+    /// Fills the free slot `i` that [`NameIndex::probe`] returned.
+    fn insert_at(&mut self, i: usize, hash: u32, id: GateId) {
+        self.slots[i] = Slot { hash, id: id.0 };
+        self.len += 1;
+    }
+}
+
+/// The name stored at `start..end` of a name arena.
+#[inline]
+fn span(names: &str, (start, end): (u32, u32)) -> &str {
+    &names[start as usize..end as usize]
+}
+
+/// A name-arena offset as stored in a [`Gate`].
+fn offset(at: usize) -> u32 {
+    u32::try_from(at).expect("gate names exceed 4 GiB")
+}
+
+impl PartialEq for Netlist {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.test_input == other.test_input
+            && self.test_input_bar == other.test_input_bar
+            && self.gates.len() == other.gates.len()
+            && self.gate_ids().all(|g| {
+                self.kind(g) == other.kind(g)
+                    && self.gate_name(g) == other.gate_name(g)
+                    && self.fanin(g) == other.fanin(g)
+                    && self.fanout(g) == other.fanout(g)
+            })
+    }
+}
+
+impl Eq for Netlist {}
+
+impl fmt::Debug for Netlist {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        /// Each gate as `(kind, name, fanins, fanouts)`.
+        struct Gates<'a>(&'a Netlist);
+        impl fmt::Debug for Gates<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let n = self.0;
+                f.debug_list()
+                    .entries(
+                        n.gate_ids().map(|g| (n.kind(g), n.gate_name(g), n.fanin(g), n.fanout(g))),
+                    )
+                    .finish()
+            }
+        }
+        f.debug_struct("Netlist")
+            .field("name", &self.name)
+            .field("gates", &Gates(self))
+            .field("test_input", &self.test_input)
+            .field("test_input_bar", &self.test_input_bar)
+            .finish()
+    }
 }
 
 impl Netlist {
@@ -52,7 +207,8 @@ impl Netlist {
         Netlist {
             name: name.into(),
             gates: Vec::new(),
-            names: HashMap::new(),
+            names: String::new(),
+            index: NameIndex::new(),
             test_input: None,
             test_input_bar: None,
         }
@@ -66,11 +222,17 @@ impl Netlist {
 
     /// Pre-allocates room for `additional` more gates. Bulk builders
     /// (the industrial-scale generator, the `.bench`/BLIF parsers) call
-    /// this to avoid incremental growth of the gate table and name map
-    /// on million-gate designs.
+    /// this to avoid incremental growth of the gate table and the name
+    /// index on million-gate designs.
     pub fn reserve(&mut self, additional: usize) {
         self.gates.reserve(additional);
-        self.names.reserve(additional);
+        self.index.reserve(additional);
+    }
+
+    /// Number of gate names the netlist holds before its name index
+    /// next grows (see [`Netlist::reserve`]).
+    pub fn name_capacity(&self) -> usize {
+        self.index.slots.len() / 2
     }
 
     /// Number of gates (including ports, flip-flops and constants).
@@ -90,30 +252,89 @@ impl Netlist {
 
     /// Adds a gate of `kind` named `name`. If `name` is empty or already
     /// taken, a unique name derived from it (or from the kind) is used.
-    pub fn add_gate(&mut self, kind: GateKind, name: impl Into<String>) -> GateId {
-        let mut name = name.into();
-        if name.is_empty() {
-            name = format!("{}_{}", kind.to_string().to_lowercase(), self.gates.len());
+    pub fn add_gate(&mut self, kind: GateKind, name: impl AsRef<str>) -> GateId {
+        // Candidates are written straight into the arena, after every
+        // stored name, and probed there.
+        let start = self.names.len();
+        self.names.push_str(name.as_ref());
+        if self.names.len() == start {
+            self.names.push_str(kind.label());
+            self.names[start..].make_ascii_lowercase();
+            write!(self.names, "_{}", self.gates.len()).expect("writing to a String");
         }
-        if self.names.contains_key(&name) {
-            let mut i = self.gates.len();
-            loop {
-                let candidate = format!("{name}_{i}");
-                if !self.names.contains_key(&candidate) {
-                    name = candidate;
-                    break;
+        self.index.reserve(1);
+        let base = self.names.len();
+        let mut suffix = self.gates.len();
+        loop {
+            let candidate = &self.names[start..];
+            let hash = self.index.hash(candidate);
+            match self.index.probe(hash, candidate, &self.gates, &self.names) {
+                Err(slot) => return self.push_gate(kind, start, hash, slot),
+                Ok(_) => {
+                    self.names.truncate(base);
+                    write!(self.names, "_{suffix}").expect("writing to a String");
+                    suffix += 1;
                 }
-                i += 1;
             }
         }
+    }
+
+    /// Adds a gate named exactly `name`, which must not be empty, or
+    /// returns `None` when the name is taken. One probe both checks and
+    /// inserts.
+    pub(crate) fn add_gate_named(&mut self, kind: GateKind, name: &str) -> Option<GateId> {
+        debug_assert!(!name.is_empty(), "empty names are generated by add_gate");
+        self.index.reserve(1);
+        let hash = self.index.hash(name);
+        let slot = self.index.probe(hash, name, &self.gates, &self.names).err()?;
+        let start = self.names.len();
+        self.names.push_str(name);
+        Some(self.push_gate(kind, start, hash, slot))
+    }
+
+    /// Appends a gate named `names[start..]`, which `probe` placed at
+    /// the free index slot `slot`.
+    fn push_gate(&mut self, kind: GateKind, start: usize, hash: u32, slot: usize) -> GateId {
+        assert!(self.gates.len() < FREE as usize, "netlist exceeds {FREE} gates");
         let id = GateId(self.gates.len() as u32);
-        self.names.insert(name.clone(), id);
+        self.index.insert_at(slot, hash, id);
+        let name = (offset(start), offset(self.names.len()));
         self.gates.push(Gate { kind, name, fanins: Vec::new(), fanouts: Vec::new() });
         id
     }
 
+    /// Bulk build: gives `g` its complete fanin list, already checked by
+    /// [`Netlist::check_wiring`] pin by pin. The mirroring fanouts wait
+    /// for [`Netlist::wire_fanouts`].
+    pub(crate) fn set_fanins(&mut self, g: GateId, fanins: Vec<GateId>) {
+        self.gates[g.index()].fanins = fanins;
+    }
+
+    /// Bulk build: wires every fanout list, at exact capacity, from the
+    /// fanin lists set by [`Netlist::set_fanins`]. Each net lists its
+    /// sinks in (sink, pin) order, as sequential [`Netlist::connect`]
+    /// calls in gate order would have. Every fanout list must be empty.
+    pub(crate) fn wire_fanouts(&mut self) {
+        let mut counts = vec![0u32; self.gates.len()];
+        for gate in &self.gates {
+            for &src in &gate.fanins {
+                counts[src.index()] += 1;
+            }
+        }
+        for (gate, &count) in self.gates.iter_mut().zip(&counts) {
+            debug_assert!(gate.fanouts.is_empty(), "wire_fanouts runs once, on a fresh build");
+            gate.fanouts = Vec::with_capacity(count as usize);
+        }
+        for sink in 0..self.gates.len() {
+            for pin in 0..self.gates[sink].fanins.len() {
+                let src = self.gates[sink].fanins[pin];
+                self.gates[src.index()].fanouts.push((GateId(sink as u32), pin as u32));
+            }
+        }
+    }
+
     /// Adds a primary input.
-    pub fn add_input(&mut self, name: impl Into<String>) -> GateId {
+    pub fn add_input(&mut self, name: impl AsRef<str>) -> GateId {
         self.add_gate(GateKind::Input, name)
     }
 
@@ -123,7 +344,7 @@ impl Netlist {
     /// Fails if `src` does not exist or cannot drive fanouts.
     pub fn add_output(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         src: GateId,
     ) -> Result<GateId, NetlistError> {
         self.check(src)?;
@@ -140,23 +361,34 @@ impl Netlist {
     pub fn connect(&mut self, src: GateId, sink: GateId) -> Result<u32, NetlistError> {
         self.check(src)?;
         self.check(sink)?;
-        let sg = &self.gates[src.index()];
-        if sg.kind == GateKind::Output {
+        let pin = self.gates[sink.index()].fanins.len();
+        self.check_wiring(src, sink, pin)?;
+        self.gates[sink.index()].fanins.push(src);
+        self.gates[src.index()].fanouts.push((sink, pin as u32));
+        Ok(pin as u32)
+    }
+
+    /// [`Netlist::connect`]'s checks, in its order, for wiring existing
+    /// gate `src` into pin `pin` of existing gate `sink`.
+    pub(crate) fn check_wiring(
+        &self,
+        src: GateId,
+        sink: GateId,
+        pin: usize,
+    ) -> Result<(), NetlistError> {
+        if self.kind(src) == GateKind::Output {
             return Err(NetlistError::NotASource(src));
         }
-        let kind = self.gates[sink.index()].kind;
+        let kind = self.kind(sink);
         if matches!(kind, GateKind::Input | GateKind::Const0 | GateKind::Const1) {
             return Err(NetlistError::NotASink(sink));
         }
-        let pin = self.gates[sink.index()].fanins.len();
         if let Some(max) = kind.fixed_arity() {
             if pin >= max {
                 return Err(NetlistError::ArityExceeded { gate: sink, kind, arity: max });
             }
         }
-        self.gates[sink.index()].fanins.push(src);
-        self.gates[src.index()].fanouts.push((sink, pin as u32));
-        Ok(pin as u32)
+        Ok(())
     }
 
     /// Rewires pin `pin` of `sink` from its current source to `new_src`.
@@ -205,15 +437,6 @@ impl Netlist {
         }
     }
 
-    /// The gate record for `g`.
-    ///
-    /// # Panics
-    /// Panics if `g` is out of range.
-    #[inline]
-    pub fn gate(&self, g: GateId) -> &Gate {
-        &self.gates[g.index()]
-    }
-
     /// The kind of gate `g`.
     #[inline]
     pub fn kind(&self, g: GateId) -> GateKind {
@@ -223,7 +446,7 @@ impl Netlist {
     /// The name of gate `g` (also the name of the net it drives).
     #[inline]
     pub fn gate_name(&self, g: GateId) -> &str {
-        &self.gates[g.index()].name
+        span(&self.names, self.gates[g.index()].name)
     }
 
     /// Fanin nets of `g` in pin order.
@@ -240,7 +463,7 @@ impl Netlist {
 
     /// Looks a gate up by name.
     pub fn find(&self, name: &str) -> Option<GateId> {
-        self.names.get(name).copied()
+        self.index.find(name, &self.gates, &self.names)
     }
 
     /// Like [`Netlist::find`] but returns a descriptive error.

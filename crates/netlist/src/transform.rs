@@ -72,7 +72,7 @@ pub fn compact(n: &Netlist) -> Compacted {
         if !live[g.index()] {
             continue;
         }
-        let ng = out.add_gate(n.kind(g), n.gate_name(g).to_string());
+        let ng = out.add_gate(n.kind(g), n.gate_name(g));
         map[g.index()] = Some(ng);
     }
     for g in n.gate_ids() {
