@@ -123,6 +123,16 @@ cargo test -q --release -p tpi-core --test lane_equiv -- --include-ignored
 echo "== BLIF parser equivalence (release, includes the 100k-gate design) =="
 cargo test -q --release --test blif_parser -- --include-ignored
 
+echo "== partial-scan identity (release, includes the large circuits) =="
+# CB, TD-CB and TPTIME outputs on every suite and smoke circuit must keep
+# their pinned digests.
+cargo test -q --release --test partial_scan_identity -- --include-ignored
+
+echo "== TPTIME planner oracles (release, includes the large circuits) =="
+# The incremental test-mode constants and the overlay plan check against
+# a from-scratch implication and a netlist clone, step by step.
+cargo test -q --release -p tpi-core --lib tptime -- --include-ignored
+
 echo "== tpi-bench --large: gen50k lane-engine gates =="
 # Fails if selections/deterministic sections differ across --threads
 # 1/2/0, or if tpgreed at --threads 0 is >15% slower than --threads 1

@@ -14,12 +14,13 @@
 //! overridden (§IV.A, Fig. 6).
 
 use crate::progress::Progress;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 use tpi_netlist::Region;
-use tpi_netlist::{GateId, GateKind, Netlist, TechLibrary};
+use tpi_netlist::{levelize, GateId, GateKind, Netlist, TechLibrary};
 use tpi_scan::ChainLink;
-use tpi_sim::{Implication, Trit};
+use tpi_sim::{eval_by, Implication, Trit};
 use tpi_sta::{ClockConstraint, Sta};
 
 /// One structural action of a [`ScanPlan`].
@@ -150,7 +151,14 @@ pub struct ScanPlanner {
     protected: HashMap<GateId, Trit>,
     route: HashSet<GateId>,
     pi_assign: HashMap<GateId, Trit>,
+    /// Test-mode constant of every net: `T` pinned to 0, the assigned
+    /// PIs pinned, everything else implied forward. Kept incrementally;
+    /// after every edit it equals a from-scratch implication.
     values: Vec<Trit>,
+    /// 0 for sources, above every fanin for the rest of the gates: the
+    /// order in which the worklists re-evaluate gates. Kept as gates
+    /// are spliced in.
+    level: Vec<u32>,
     links: Vec<ChainLink>,
     test_points_inserted: usize,
     /// Physically inserted test-point gates with the constant each one
@@ -180,6 +188,7 @@ impl ScanPlanner {
         let baseline_delay = sta.circuit_delay();
         sta.freeze_clock();
         let values = compute_values(&n, &HashMap::new());
+        let level = levelize(&n).expect("netlist must be acyclic");
         ScanPlanner {
             n,
             lib,
@@ -189,6 +198,7 @@ impl ScanPlanner {
             route: HashSet::new(),
             pi_assign: HashMap::new(),
             values,
+            level,
             links: Vec::new(),
             test_points_inserted: 0,
             physical_tps: Vec::new(),
@@ -284,23 +294,37 @@ impl ScanPlanner {
     /// such plan exists; the caller then marks the flip-flop, as §IV.B
     /// prescribes.
     pub fn plan_zero_degradation(&self, ff: GateId) -> Option<ScanPlan> {
+        let (plan, new_pis) = self.candidate_plan(ff)?;
+        // The plan's physical side effects must not disturb any earlier
+        // desired constant or put a constant on any scan route (the
+        // paper's rule that subsequent insertions never destroy previous
+        // efforts).
+        self.plan_keeps_protections(&plan, &new_pis).then_some(plan)
+    }
+
+    /// The cheapest Eq. 2–4 plan for `ff` whose PI requirements agree
+    /// with each other and with the accumulated assignment, plus the PI
+    /// assignments it adds; not yet checked against the protections.
+    fn candidate_plan(&self, ff: GateId) -> Option<(ScanPlan, Vec<(GateId, Trit)>)> {
         debug_assert_eq!(self.n.kind(ff), GateKind::Dff);
         self.progress.add_plans_attempted(1);
         let d = self.n.fanin(ff)[0];
         let region = Region::build(&self.n, d);
         let mut memo: HashMap<(GateId, Want), Option<Solution>> = HashMap::new();
         let sol = self.solve(d, Want::Scan, &region, &mut memo)?;
-        // Reject plans whose PI requirements conflict internally or with
-        // the accumulated assignment.
-        let mut pis: HashMap<GateId, Trit> = self.pi_assign.clone();
+        let mut new_pis: Vec<(GateId, Trit)> = Vec::new();
         for a in &sol.actions {
             if let PlanAction::AssignPi { pi, value } = *a {
-                if let Some(&prev) = pis.get(&pi) {
-                    if prev != value {
-                        return None;
-                    }
+                let prev = self
+                    .pi_assign
+                    .get(&pi)
+                    .copied()
+                    .or_else(|| new_pis.iter().find(|&&(p, _)| p == pi).map(|&(_, v)| v));
+                match prev {
+                    Some(prev) if prev != value => return None,
+                    Some(_) => {}
+                    None => new_pis.push((pi, value)),
                 }
-                pis.insert(pi, value);
             }
         }
         let mut route = sol.route.clone();
@@ -322,19 +346,82 @@ impl ScanPlanner {
             desired: sol.desired,
             route,
         };
-        // Global validation on a scratch copy: the plan's physical
-        // side effects must not disturb any earlier desired constant or
-        // put a constant on any scan route (the paper's rule that
-        // subsequent insertions never destroy previous efforts).
-        if self.plan_globally_consistent(&plan, &pis) {
-            Some(plan)
-        } else {
-            None
+        Some((plan, new_pis))
+    }
+
+    /// Decides whether `plan`, with the PI assignments `new_pis` it adds,
+    /// keeps every protection, without applying it: the constants the
+    /// netlist would carry afterwards are derived on a sparse overlay of
+    /// `values`, re-evaluating only the fanout cones of the spliced nets
+    /// and of the newly held PIs.
+    fn plan_keeps_protections(&self, plan: &ScanPlan, new_pis: &[(GateId, Trit)]) -> bool {
+        // What the consumers of a spliced net read: the gate spliced
+        // there first ends up driving them, and with `T = 0` it forces 0
+        // (AND), 1 (OR) or passes the unknown scan data (MUX).
+        let mut spliced: HashMap<GateId, Trit> = HashMap::new();
+        // A desired constant on a spliced net is realized on the last
+        // AND/OR gate spliced there, as `commit` protects it.
+        let mut realized: HashMap<GateId, Trit> = HashMap::new();
+        for action in &plan.actions {
+            let (at, v) = match *action {
+                PlanAction::InsertMux { at } => (at, Trit::X),
+                PlanAction::InsertAnd { at } => (at, Trit::Zero),
+                PlanAction::InsertOr { at } => (at, Trit::One),
+                PlanAction::AssignPi { .. } => continue,
+            };
+            if self.n.kind(at) == GateKind::Output {
+                return false; // no gate can be spliced onto an output port
+            }
+            spliced.entry(at).or_insert(v);
+            if v.is_known() {
+                realized.insert(at, v);
+            }
         }
+        // Nets whose value the plan changes, with their new values.
+        let mut changed: HashMap<GateId, Trit> = HashMap::new();
+        let value = |changed: &HashMap<GateId, Trit>, g: GateId| {
+            changed.get(&g).copied().unwrap_or(self.values[g.index()])
+        };
+        let mut work = Worklist::default();
+        for &at in spliced.keys() {
+            work.push_sinks(self, at);
+        }
+        for &(pi, v) in new_pis {
+            changed.insert(pi, v);
+            work.push_sinks(self, pi);
+        }
+        while let Some(g) = work.pop() {
+            let fanin = self.n.fanin(g);
+            let new = eval_by(self.n.kind(g), fanin.len(), |j| {
+                spliced.get(&fanin[j]).copied().unwrap_or_else(|| value(&changed, fanin[j]))
+            });
+            if new == value(&changed, g) {
+                continue;
+            }
+            changed.insert(g, new);
+            work.push_sinks(self, g);
+        }
+        // Every earlier desired constant and route held before the plan,
+        // so only a net the plan changes can break one.
+        for (&g, &v) in &changed {
+            if self.protected.get(&g).is_some_and(|&p| p != v)
+                || (v.is_known() && self.route.contains(&g))
+            {
+                return false;
+            }
+        }
+        // This plan's own desired constants must be realized, and its
+        // route must stay free of constants.
+        plan.desired.iter().all(|&(net, v)| {
+            realized.get(&net).copied().unwrap_or_else(|| value(&changed, net)) == v
+        }) && plan.route.iter().all(|&r| !value(&changed, r).is_known())
     }
 
     /// Applies `plan` to a clone of the netlist and re-derives the
-    /// test-mode constants; checks every protection.
+    /// test-mode constants from scratch; checks every protection. The
+    /// reference [`ScanPlanner::plan_keeps_protections`] is tested
+    /// against.
+    #[cfg(test)]
     fn plan_globally_consistent(&self, plan: &ScanPlan, pis: &HashMap<GateId, Trit>) -> bool {
         let mut trial = self.n.clone();
         let mut stub_slot = self.scan_stub;
@@ -624,14 +711,16 @@ impl ScanPlanner {
     }
 
     /// Applies a plan physically: splices the gates, records protections,
-    /// updates timing incrementally, recomputes the test-mode constants
-    /// and appends the resulting chain link.
+    /// updates timing and the test-mode constants incrementally and
+    /// appends the resulting chain link.
     ///
     /// # Panics
     /// Panics (in debug builds) if the committed plan fails its own
     /// post-conditions: desired constants not realized or clock period
     /// degraded.
     pub fn commit(&mut self, plan: &ScanPlan) -> ChainLink {
+        let first_new = self.n.gate_count();
+        let mut pinned: Vec<GateId> = Vec::new();
         let mut mux: Option<GateId> = None;
         let mut inserted: Vec<GateId> = Vec::new();
         // Net translation: inserting a gate at `net` moves the constant
@@ -665,7 +754,9 @@ impl ScanPlanner {
                     inserted.push(tp);
                 }
                 PlanAction::AssignPi { pi, value } => {
-                    self.pi_assign.insert(pi, value);
+                    if self.pi_assign.insert(pi, value).is_none() {
+                        pinned.push(pi);
+                    }
                 }
             }
         }
@@ -685,8 +776,12 @@ impl ScanPlanner {
         for &r in &plan.route {
             self.route.insert(r);
         }
-        self.values = compute_values(&self.n, &self.pi_assign);
+        self.propagate_edit(first_new, &pinned);
         debug_assert!(self.verify_desired(), "desired constants must hold after commit");
+        debug_assert!(
+            self.route.iter().all(|r| !self.values[r.index()].is_known()),
+            "scan routes must stay free of constants after commit"
+        );
         debug_assert!(
             self.sta.circuit_delay() <= self.baseline_delay + 1e-9,
             "zero-degradation plan must not move the clock: {} -> {}",
@@ -706,12 +801,14 @@ impl ScanPlanner {
     /// regardless of slack (the CB baseline and the minimal-degradation
     /// fallback both use this).
     pub fn scan_conventionally(&mut self, ff: GateId) -> ChainLink {
+        let first_new = self.n.gate_count();
         self.n.ensure_test_input();
         let stub = Self::ensure_scan_stub(&mut self.n, &mut self.scan_stub);
         let mux =
             self.n.insert_scan_mux_at_pin(ff, 0, stub).expect("flip-flops always have a D pin");
         self.seed_sta(mux, ff);
-        self.values = compute_values(&self.n, &self.pi_assign);
+        // The mux feeds only the flip-flop's D pin: no existing net moves.
+        self.propagate_edit(first_new, &[]);
         let link = ChainLink::Mux { mux, ff, inverting: false };
         self.links.push(link);
         link
@@ -729,6 +826,63 @@ impl ScanPlanner {
         self.sta.update_after_edit(&self.n, &seeds);
     }
 
+    /// Brings `level` and `values` up to date after an edit that added
+    /// the gates from index `first_new` on and newly pinned the PIs in
+    /// `pinned`. Only the fanout cones of those gates are re-evaluated,
+    /// each gate after its changed fanins.
+    fn propagate_edit(&mut self, first_new: usize, pinned: &[GateId]) {
+        let count = self.n.gate_count();
+        self.values.resize(count, Trit::X);
+        self.level.resize(count, 0);
+        // A new gate sits above its fanins and lifts every sink that is
+        // not above it yet.
+        let mut lift: Vec<GateId> = (first_new..count).map(GateId::from_index).collect();
+        while let Some(g) = lift.pop() {
+            if self.n.kind(g).is_source() {
+                continue;
+            }
+            let need = 1 + self.n.fanin(g).iter().map(|f| self.level[f.index()]).max().unwrap_or(0);
+            if need > self.level[g.index()] {
+                self.level[g.index()] = need;
+                lift.extend(
+                    self.n
+                        .fanout(g)
+                        .iter()
+                        .map(|&(s, _)| s)
+                        .filter(|s| !self.n.kind(*s).is_source()),
+                );
+            }
+        }
+        let is_seed = |g: GateId| g.index() >= first_new || pinned.contains(&g);
+        let mut work = Worklist::default();
+        for g in (first_new..count).map(GateId::from_index).chain(pinned.iter().copied()) {
+            work.push(self, g);
+        }
+        while let Some(g) = work.pop() {
+            let new = self.pin(g).unwrap_or_else(|| {
+                let fanin = self.n.fanin(g);
+                eval_by(self.n.kind(g), fanin.len(), |j| self.values[fanin[j].index()])
+            });
+            // A new gate's consumers read it instead of the net it was
+            // spliced onto, so they are re-evaluated even when its value
+            // happens to match its placeholder.
+            if new == self.values[g.index()] && !is_seed(g) {
+                continue;
+            }
+            self.values[g.index()] = new;
+            work.push_sinks(self, g);
+        }
+    }
+
+    /// The value `g` is held at in test mode, if any: an assigned PI's
+    /// value, else 0 on `T` (an assignment wins, as in `compute_values`).
+    fn pin(&self, g: GateId) -> Option<Trit> {
+        self.pi_assign
+            .get(&g)
+            .copied()
+            .or_else(|| (Some(g) == self.n.test_input()).then_some(Trit::Zero))
+    }
+
     fn verify_desired(&self) -> bool {
         self.protected.iter().all(|(&net, &v)| self.values[net.index()] == v)
     }
@@ -738,6 +892,41 @@ impl ScanPlanner {
     pub fn into_parts(self) -> (Netlist, Vec<ChainLink>, Sta, Vec<(GateId, Trit)>) {
         let pis = self.pi_assignments();
         (self.n, self.links, self.sta, pis)
+    }
+}
+
+/// Gates awaiting re-evaluation, popped in level order so that each gate
+/// is evaluated once, after all of its changed fanins.
+#[derive(Default)]
+struct Worklist {
+    heap: BinaryHeap<Reverse<(u32, GateId)>>,
+    last: Option<GateId>,
+}
+
+impl Worklist {
+    fn push(&mut self, planner: &ScanPlanner, g: GateId) {
+        self.heap.push(Reverse((planner.level[g.index()], g)));
+    }
+
+    /// Queues the combinational consumers of `g`'s net: ports,
+    /// flip-flops and constants never take a value from their fanins.
+    fn push_sinks(&mut self, planner: &ScanPlanner, g: GateId) {
+        for &(sink, _) in planner.n.fanout(g) {
+            if planner.n.kind(sink).is_combinational() {
+                self.push(planner, sink);
+            }
+        }
+    }
+
+    fn pop(&mut self) -> Option<GateId> {
+        // A sink's level is above all of its fanins', so a gate is never
+        // queued again once popped; copies of it pop back to back.
+        while let Some(Reverse((_, g))) = self.heap.pop() {
+            if self.last.replace(g) != Some(g) {
+                return Some(g);
+            }
+        }
+        None
     }
 }
 
@@ -899,5 +1088,307 @@ mod tests {
             .actions
             .iter()
             .any(|a| matches!(a, PlanAction::InsertMux { at } if *at == f1)));
+    }
+
+    /// `values` and `level` against a from-scratch implication and the
+    /// level rule.
+    fn assert_fresh(p: &ScanPlanner) {
+        assert_eq!(p.values, compute_values(&p.n, &p.pi_assign), "incremental constants diverged");
+        for g in p.n.gate_ids().filter(|&g| !p.n.kind(g).is_source()) {
+            for &f in p.n.fanin(g) {
+                assert!(p.level[g.index()] > p.level[f.index()], "level of {}", p.n.gate_name(g));
+            }
+        }
+    }
+
+    /// The overlay verdict on `plan`, asserted equal to the verdict on a
+    /// clone of the netlist.
+    fn checked_verdict(p: &ScanPlanner, plan: &ScanPlan, new_pis: &[(GateId, Trit)]) -> bool {
+        let mut pis = p.pi_assign.clone();
+        pis.extend(new_pis.iter().copied());
+        let verdict = p.plan_keeps_protections(plan, new_pis);
+        assert_eq!(verdict, p.plan_globally_consistent(plan, &pis), "{plan:?}");
+        verdict
+    }
+
+    /// Walks `n`'s flip-flops in order, holding the planner to both
+    /// oracles at every step: commits each plan the checks accept, and
+    /// scans a planless flip-flop conventionally when the mux fits. With
+    /// `probe`, every later flip-flop's plan is checked before each
+    /// step too. Returns how many verdicts accepted and rejected a plan.
+    fn walk(n: Netlist, probe: bool) -> (usize, usize) {
+        let ffs = n.dffs();
+        let mut p = ScanPlanner::new(n, TechLibrary::paper());
+        let mut tally = (0, 0);
+        let mut count = |accepted: bool| {
+            if accepted {
+                tally.0 += 1;
+            } else {
+                tally.1 += 1;
+            }
+        };
+        for (i, &ff) in ffs.iter().enumerate() {
+            if probe {
+                for &later in &ffs[i + 1..] {
+                    if let Some((plan, new_pis)) = p.candidate_plan(later) {
+                        count(checked_verdict(&p, &plan, &new_pis));
+                    }
+                }
+            }
+            match p.candidate_plan(ff) {
+                Some((plan, new_pis)) if checked_verdict(&p, &plan, &new_pis) => {
+                    count(true);
+                    p.commit(&plan);
+                }
+                candidate => {
+                    if candidate.is_some() {
+                        count(false);
+                    }
+                    if !p.mux_fits_directly(ff) {
+                        continue;
+                    }
+                    p.scan_conventionally(ff);
+                }
+            }
+            assert_fresh(&p);
+        }
+        tally
+    }
+
+    /// 64 seeded circuits across four structure classes plus the smoke
+    /// pair, probing every pending plan at every step: some 10,000
+    /// verdicts, a few hundred of them rejections.
+    #[test]
+    fn planner_matches_the_oracles_on_generated_circuits() {
+        use tpi_workloads::{generate, smoke_suite, CircuitSpec, StructureClass};
+        let classes = [
+            StructureClass::mixed(0.5, 4, 5, 1),
+            StructureClass::datapath(4, 2, 1),
+            StructureClass::mixed(0.3, 4, 2, 0).with_hard_rings(1, 3),
+            StructureClass::mixed(0.8, 3, 8, 2),
+        ];
+        let mut specs = smoke_suite();
+        for seed in 0..64u64 {
+            specs.push(CircuitSpec {
+                name: format!("oracle{seed}"),
+                inputs: 6 + (seed % 5) as usize,
+                outputs: 4,
+                ffs: 12 + (seed % 13) as usize,
+                target_gates: 80 + 10 * (seed % 16) as usize,
+                structure: classes[(seed % 4) as usize],
+                seed: 1_000 + seed,
+            });
+        }
+        let (mut accepted, mut rejected) = (0, 0);
+        for spec in &specs {
+            let (a, r) = walk(generate(spec), true);
+            accepted += a;
+            rejected += r;
+        }
+        assert!(accepted > 1_000 && rejected > 100, "accepted {accepted}, rejected {rejected}");
+    }
+
+    fn assert_suite_matches_the_oracles(names: &[&str]) {
+        for spec in tpi_workloads::suite().into_iter().filter(|s| names.contains(&s.name.as_str()))
+        {
+            let (accepted, _) = walk(tpi_workloads::generate(&spec), false);
+            assert!(accepted > 0, "{}: no plan accepted", spec.name);
+        }
+    }
+
+    #[test]
+    fn planner_matches_the_oracles_on_the_suite() {
+        assert_suite_matches_the_oracles(&[
+            "dsip", "s5378", "s9234", "bigkey", "mult32b", "mult32a",
+        ]);
+    }
+
+    /// Release only (`ci.sh` runs it with `--include-ignored`).
+    #[test]
+    #[ignore = "large circuits; run in release mode"]
+    fn planner_matches_the_oracles_on_the_large_suite() {
+        assert_suite_matches_the_oracles(&["s13207", "s15850", "s35932", "s38417", "s38584"]);
+    }
+
+    /// A fresh planner over `x = INV(a)`, `p = OR(x, c)` to an output
+    /// and `y = AND(x, d)` into flip-flop `f`, plus flip-flops `h1`, `h2`
+    /// loaded straight from inputs `e1`, `e2` (mux sites for plans that
+    /// need one elsewhere). `crit` drives a long chain so that every
+    /// other net has slack.
+    fn hand_circuit() -> (ScanPlanner, [GateId; 9]) {
+        let mut b = NetlistBuilder::new("hand");
+        for pi in ["a", "c", "d", "e1", "e2", "crit"] {
+            b.input(pi);
+        }
+        b.gate(GateKind::Inv, "x", &["a"]);
+        b.gate(GateKind::Or, "p", &["x", "c"]);
+        b.gate(GateKind::And, "y", &["x", "d"]);
+        b.dff("f", "y");
+        b.dff("h1", "e1");
+        b.dff("h2", "e2");
+        let mut prev = "crit".to_string();
+        for i in 0..12 {
+            let name = format!("i{i}");
+            b.gate(GateKind::Inv, &name, &[prev.as_str()]);
+            prev = name;
+        }
+        b.dff("g", &prev);
+        for (port, net) in [("op", "p"), ("of", "f"), ("oh1", "h1"), ("oh2", "h2"), ("og", "g")] {
+            b.output(port, net);
+        }
+        let n = b.finish().unwrap();
+        let ids = ["a", "c", "d", "e1", "e2", "x", "p", "y", "f"].map(|name| n.find(name).unwrap());
+        (ScanPlanner::new(n, TechLibrary::paper()), ids)
+    }
+
+    /// A plan for `ff` whose route is its mux sites.
+    fn plan(ff: GateId, actions: Vec<PlanAction>, desired: Vec<(GateId, Trit)>) -> ScanPlan {
+        let route = actions
+            .iter()
+            .filter_map(|a| match *a {
+                PlanAction::InsertMux { at } => Some(at),
+                _ => None,
+            })
+            .collect();
+        ScanPlan { ff, actions, area: 0.0, inverting: false, desired, route }
+    }
+
+    /// Commits `plan` once its checked verdict accepts it.
+    fn commit_checked(p: &mut ScanPlanner, plan: &ScanPlan, new_pis: &[(GateId, Trit)]) {
+        assert!(checked_verdict(p, plan, new_pis), "{plan:?}");
+        p.commit(plan);
+        assert_fresh(p);
+    }
+
+    #[test]
+    fn first_insertion_creates_t_and_t_bar() {
+        let (mut p, [_, _, _, e1, _, x, pnet, y, _]) = hand_circuit();
+        assert!(p.n.test_input().is_none());
+        let h1 = p.n.find("h1").unwrap();
+        let or_x = plan(
+            h1,
+            vec![PlanAction::InsertOr { at: x }, PlanAction::InsertMux { at: e1 }],
+            vec![(x, Trit::One)],
+        );
+        commit_checked(&mut p, &or_x, &[]);
+        let t = p.n.test_input().unwrap();
+        assert_eq!(p.values[t.index()], Trit::Zero);
+        assert_eq!(p.values[p.n.test_input_bar().unwrap().index()], Trit::One);
+        assert_eq!(p.values[pnet.index()], Trit::One, "p reads the OR test point");
+        assert_eq!(p.values[y.index()], Trit::X);
+    }
+
+    #[test]
+    fn and_then_mux_at_one_net() {
+        let (mut p, [.., x, pnet, y, f]) = hand_circuit();
+        // The AND spliced first drives x's consumers, so y reads 0; x
+        // itself still carries scan data into the mux behind the AND.
+        let both = plan(
+            f,
+            vec![PlanAction::InsertAnd { at: x }, PlanAction::InsertMux { at: x }],
+            vec![(x, Trit::Zero)],
+        );
+        commit_checked(&mut p, &both, &[]);
+        assert_eq!(p.values[y.index()], Trit::Zero);
+        assert_eq!(p.values[pnet.index()], Trit::X);
+        // The mirror order: the mux drives x's consumers, so the AND's
+        // constant never reaches y.
+        let (p, [.., x, _, y, f]) = hand_circuit();
+        let mirror = plan(
+            f,
+            vec![PlanAction::InsertMux { at: x }, PlanAction::InsertAnd { at: x }],
+            vec![(x, Trit::Zero), (y, Trit::Zero)],
+        );
+        assert!(!checked_verdict(&p, &mirror, &[]), "y stays X behind the mux");
+    }
+
+    #[test]
+    fn and_test_point_feeding_a_protected_net_is_rejected() {
+        let (mut p, [a, c, _, e1, e2, x, pnet, _, _]) = hand_circuit();
+        let (h1, h2) = (p.n.find("h1").unwrap(), p.n.find("h2").unwrap());
+        // Hold a = 0 so that x = 1 and p = OR(x, c) = 1, and protect p.
+        let hold = plan(
+            h1,
+            vec![
+                PlanAction::AssignPi { pi: a, value: Trit::Zero },
+                PlanAction::InsertMux { at: e1 },
+            ],
+            vec![(a, Trit::Zero), (pnet, Trit::One)],
+        );
+        commit_checked(&mut p, &hold, &[(a, Trit::Zero)]);
+        // An AND test point at x zeroes p's input, so p would fall to X.
+        let clash = plan(
+            h2,
+            vec![PlanAction::InsertAnd { at: x }, PlanAction::InsertMux { at: e2 }],
+            vec![(x, Trit::Zero)],
+        );
+        assert!(!checked_verdict(&p, &clash, &[]));
+        // Holding c at 1 as well keeps p's constant.
+        let rescued = plan(
+            h2,
+            vec![
+                PlanAction::AssignPi { pi: c, value: Trit::One },
+                PlanAction::InsertAnd { at: x },
+                PlanAction::InsertMux { at: e2 },
+            ],
+            vec![(c, Trit::One), (x, Trit::Zero)],
+        );
+        commit_checked(&mut p, &rescued, &[(c, Trit::One)]);
+    }
+
+    #[test]
+    fn pi_assignments_that_break_a_protection_are_rejected() {
+        let (mut p, [a, c, _, _, e2, x, pnet, _, _]) = hand_circuit();
+        let (h1, h2) = (p.n.find("h1").unwrap(), p.n.find("h2").unwrap());
+        // An AND test point at x and scan data routed through p.
+        let first = plan(
+            h1,
+            vec![PlanAction::InsertAnd { at: x }, PlanAction::InsertMux { at: pnet }],
+            vec![(x, Trit::Zero)],
+        );
+        commit_checked(&mut p, &first, &[]);
+        let mux_at = |pi: GateId, value: Trit| {
+            plan(
+                h2,
+                vec![PlanAction::AssignPi { pi, value }, PlanAction::InsertMux { at: e2 }],
+                vec![(pi, value)],
+            )
+        };
+        // Holding T at 1 would make the protected test point transparent.
+        let t = p.n.test_input().unwrap();
+        assert!(!checked_verdict(&p, &mux_at(t, Trit::One), &[(t, Trit::One)]));
+        // c = 1 would put a constant on p, an earlier scan route.
+        assert!(!checked_verdict(&p, &mux_at(c, Trit::One), &[(c, Trit::One)]));
+        // a only feeds the test point, whose 0 it cannot move.
+        commit_checked(&mut p, &mux_at(a, Trit::One), &[(a, Trit::One)]);
+    }
+
+    #[test]
+    fn a_mux_spliced_onto_a_known_net_hides_it_from_its_consumers() {
+        let (mut p, [a, .., x, pnet, _, _]) = hand_circuit();
+        p.pi_assign.insert(a, Trit::Zero);
+        p.propagate_edit(p.n.gate_count(), &[a]);
+        assert_eq!(p.values[pnet.index()], Trit::One, "p = OR(x, c) with x = 1");
+        // The new mux evaluates to its X placeholder, yet p must move.
+        let first_new = p.n.gate_count();
+        p.n.ensure_test_input();
+        let stub = ScanPlanner::ensure_scan_stub(&mut p.n, &mut p.scan_stub);
+        p.n.insert_scan_mux(x, stub).unwrap();
+        p.propagate_edit(first_new, &[]);
+        assert_fresh(&p);
+        assert_eq!(p.values[pnet.index()], Trit::X);
+    }
+
+    #[test]
+    fn output_targets_are_rejected() {
+        let (p, [.., f]) = hand_circuit();
+        let port = p.n.find("op").unwrap();
+        for action in [
+            PlanAction::InsertMux { at: port },
+            PlanAction::InsertAnd { at: port },
+            PlanAction::InsertOr { at: port },
+        ] {
+            assert!(!checked_verdict(&p, &plan(f, vec![action], vec![]), &[]));
+        }
     }
 }

@@ -60,7 +60,7 @@ pub use library::{Cell, TechLibrary};
 pub use netlist::Netlist;
 pub use region::Region;
 pub use stats::{net_loads, NetlistStats};
-pub use topo::{find_comb_cycle, TopoError};
+pub use topo::{find_comb_cycle, levelize, TopoError};
 pub use verilog::write_verilog;
 
 /// Convenience module for ISCAS89 `.bench` I/O, re-exported under a

@@ -85,6 +85,12 @@ impl Region {
             }
             let mut count: u16 = 0;
             for &(sink, _) in n.fanout(g) {
+                // A flip-flop sink ends the path (Definition 1 counts
+                // combinational paths); counting through it would also
+                // depend on where it sorts.
+                if n.kind(sink).is_source() {
+                    continue;
+                }
                 if let Some(&c) = path_count.get(&sink) {
                     count += c as u16;
                 }

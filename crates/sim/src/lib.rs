@@ -36,5 +36,5 @@ pub use equiv::{mission_equivalent, Mismatch};
 pub use implication::{Assignment, Implication, Preview};
 pub use lanes::{LaneEngine, LANES};
 pub use simulator::Simulator;
-pub use trit::{eval_gate, Trit};
+pub use trit::{eval_by, eval_gate, Trit};
 pub use view::NetView;

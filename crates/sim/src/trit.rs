@@ -112,21 +112,40 @@ impl fmt::Display for Trit {
 /// assert_eq!(eval_gate(GateKind::Mux, &[Trit::X, Trit::One, Trit::One]), Trit::One);
 /// ```
 pub fn eval_gate(kind: GateKind, inputs: &[Trit]) -> Trit {
+    eval_by(kind, inputs.len(), |j| inputs[j])
+}
+
+/// Allocation-free form of [`eval_gate`] for engines that keep values in
+/// their own storage: `input(j)` yields the value on pin `j` of a gate
+/// with `arity` fanins.
+///
+/// ```
+/// use tpi_sim::{eval_by, Trit};
+/// use tpi_netlist::GateKind;
+/// let values = [Trit::One, Trit::X, Trit::Zero];
+/// let fanin = [0, 2];
+/// assert_eq!(eval_by(GateKind::Or, fanin.len(), |j| values[fanin[j]]), Trit::One);
+/// ```
+#[inline]
+pub fn eval_by(kind: GateKind, arity: usize, input: impl Fn(usize) -> Trit) -> Trit {
+    let and = || (0..arity).fold(Trit::One, |a, j| a.and(input(j)));
+    let or = || (0..arity).fold(Trit::Zero, |a, j| a.or(input(j)));
     match kind {
-        GateKind::And => inputs.iter().copied().fold(Trit::One, Trit::and),
-        GateKind::Or => inputs.iter().copied().fold(Trit::Zero, Trit::or),
-        GateKind::Nand => !inputs.iter().copied().fold(Trit::One, Trit::and),
-        GateKind::Nor => !inputs.iter().copied().fold(Trit::Zero, Trit::or),
-        GateKind::Inv => !inputs[0],
-        GateKind::Buf => inputs[0],
-        GateKind::Xor => inputs[0].xor(inputs[1]),
-        GateKind::Xnor => !inputs[0].xor(inputs[1]),
-        GateKind::Mux => match inputs[0] {
-            Trit::Zero => inputs[1],
-            Trit::One => inputs[2],
+        GateKind::And => and(),
+        GateKind::Or => or(),
+        GateKind::Nand => !and(),
+        GateKind::Nor => !or(),
+        GateKind::Inv => !input(0),
+        GateKind::Buf => input(0),
+        GateKind::Xor => input(0).xor(input(1)),
+        GateKind::Xnor => !input(0).xor(input(1)),
+        GateKind::Mux => match input(0) {
+            Trit::Zero => input(1),
+            Trit::One => input(2),
             Trit::X => {
-                if inputs[1] == inputs[2] {
-                    inputs[1]
+                let (d0, d1) = (input(1), input(2));
+                if d0 == d1 {
+                    d0
                 } else {
                     Trit::X
                 }

@@ -13,7 +13,7 @@
 //! in this workspace builds the view at the start of a run over an
 //! immutable netlist borrow, which enforces that statically.
 
-use crate::trit::Trit;
+use crate::trit::{eval_by, Trit};
 use std::sync::Arc;
 use tpi_netlist::{GateKind, Netlist};
 
@@ -176,37 +176,11 @@ impl NetView {
     }
 }
 
-/// Allocation-free twin of [`crate::eval_gate`]: evaluates gate `kind`
-/// from fanin *indices* into a dense value array, without collecting the
-/// input values first. Must agree with `eval_gate` bit for bit (see the
-/// exhaustive consistency test below).
+/// Evaluates gate `kind` from fanin *indices* into a dense value array
+/// ([`crate::eval_by`] over the view's CSR slice).
 #[inline]
 pub(crate) fn eval_indexed(kind: GateKind, fanin: &[u32], values: &[Trit]) -> Trit {
-    let v = |j: usize| values[fanin[j] as usize];
-    match kind {
-        GateKind::And => fanin.iter().fold(Trit::One, |a, &f| a.and(values[f as usize])),
-        GateKind::Or => fanin.iter().fold(Trit::Zero, |a, &f| a.or(values[f as usize])),
-        GateKind::Nand => !fanin.iter().fold(Trit::One, |a, &f| a.and(values[f as usize])),
-        GateKind::Nor => !fanin.iter().fold(Trit::Zero, |a, &f| a.or(values[f as usize])),
-        GateKind::Inv => !v(0),
-        GateKind::Buf => v(0),
-        GateKind::Xor => v(0).xor(v(1)),
-        GateKind::Xnor => !v(0).xor(v(1)),
-        GateKind::Mux => match v(0) {
-            Trit::Zero => v(1),
-            Trit::One => v(2),
-            Trit::X => {
-                if v(1) == v(2) {
-                    v(1)
-                } else {
-                    Trit::X
-                }
-            }
-        },
-        GateKind::Const0 => Trit::Zero,
-        GateKind::Const1 => Trit::One,
-        GateKind::Input | GateKind::Output | GateKind::Dff => Trit::X,
-    }
+    eval_by(kind, fanin.len(), |j| values[fanin[j] as usize])
 }
 
 #[cfg(test)]

@@ -16,7 +16,9 @@ use std::sync::OnceLock;
 
 use scanpath::netlist::{parse_blif, write_blif, Netlist};
 use scanpath::tpi::paths::enumerate_paths;
+use scanpath::tpi::{PartialScanFlow, PartialScanMethod};
 use scanpath::workloads::industrial::{generate_industrial, IndustrialSpec};
+use scanpath::workloads::{generate, suite};
 
 /// Bytes a parse may allocate per byte of BLIF. The builder's name
 /// arena and spans plus the finished `Netlist` measure 7.9×.
@@ -32,6 +34,17 @@ const MAX_ALLOCS_PER_GATE: f64 = 2.5;
 /// bytes per gate; an on-path marker per flip-flop, rather than one per
 /// worker, would add a byte per gate for every flip-flop.
 const MAX_ENUMERATION_BYTES_PER_GATE: f64 = 256.0;
+
+/// Bytes a TPTIME run on `dsip` may allocate per gate. It measures 5,522
+/// with the planner's test-mode constants kept incrementally and each
+/// plan checked on a sparse overlay; cloning the netlist per plan and
+/// re-implying it after every edit measured 25,068.
+const MAX_TPTIME_BYTES_PER_GATE: f64 = 8_000.0;
+
+/// Bytes a CB run on `dsip` may allocate per gate. It measures 798;
+/// re-implying the whole netlist after every scan conversion measured
+/// 4,881.
+const MAX_CB_BYTES_PER_GATE: f64 = 2_000.0;
 
 /// What a counted region allocated.
 #[derive(Debug, Clone, Copy, Default)]
@@ -163,4 +176,33 @@ fn enumerating_paths_allocates_linearly() {
         "enumeration allocated {per_gate:.1} bytes per gate, over the \
          {MAX_ENUMERATION_BYTES_PER_GATE} gate"
     );
+}
+
+/// Bytes per gate of `dsip` that a whole partial-scan run under `method`
+/// allocates, verification included.
+fn partial_scan_bytes_per_gate(method: PartialScanMethod) -> f64 {
+    let spec = suite().into_iter().find(|s| s.name == "dsip").expect("dsip is in the suite");
+    let n = generate(&spec);
+    let (r, counts) = allocated_by(|| PartialScanFlow::new(method).run(&n));
+    let per_gate = counts.bytes as f64 / n.gate_count() as f64;
+    eprintln!(
+        "{} on dsip ({} gates, {} scanned) allocated {} bytes ({per_gate:.0} per gate)",
+        method.label(),
+        n.gate_count(),
+        r.row.selected_ffs,
+        counts.bytes
+    );
+    per_gate
+}
+
+#[test]
+fn tptime_allocates_at_most_8000_bytes_per_gate() {
+    let per_gate = partial_scan_bytes_per_gate(PartialScanMethod::TpTime);
+    assert!(per_gate <= MAX_TPTIME_BYTES_PER_GATE, "TPTIME allocated {per_gate:.0} bytes per gate");
+}
+
+#[test]
+fn cb_allocates_at_most_2000_bytes_per_gate() {
+    let per_gate = partial_scan_bytes_per_gate(PartialScanMethod::Cb);
+    assert!(per_gate <= MAX_CB_BYTES_PER_GATE, "CB allocated {per_gate:.0} bytes per gate");
 }

@@ -13,7 +13,7 @@
 //! workload on which incremental TPGREED diverged from full
 //! recomputation.
 
-use scanpath::netlist::{GateKind, NetlistBuilder, TechLibrary};
+use scanpath::netlist::{GateKind, Netlist, NetlistBuilder, TechLibrary};
 use scanpath::scan::SGraph;
 use scanpath::sim::{Implication, Trit};
 use scanpath::sta::{ClockConstraint, Sta};
@@ -233,4 +233,29 @@ fn incremental_rescores_candidates_whose_wave_reached_a_changed_fanin() {
     let full = run(GainUpdate::Full);
     assert_eq!(full.0[2], ("g0".to_string(), Trit::One), "the case still exercises g0 = 1");
     assert_eq!(run(GainUpdate::Incremental), full);
+}
+
+/// A flip-flop in a region's cone is a source: Definition 1 counts
+/// combinational paths only, so the path through `f`'s D pin must not
+/// count toward `g`'s paths to `t`. The region used to add it whenever
+/// `f` sorted before `g` in the reverse topological order, which
+/// happened when `f` was declared before the inputs.
+#[test]
+fn region_path_counts_do_not_run_through_flip_flops() {
+    for ff_first in [true, false] {
+        let mut n = Netlist::new("ff_in_cone");
+        let early = ff_first.then(|| n.add_gate(GateKind::Dff, "f"));
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let g = n.add_gate(GateKind::And, "g");
+        let f = early.unwrap_or_else(|| n.add_gate(GateKind::Dff, "f"));
+        let t = n.add_gate(GateKind::Or, "t");
+        for (src, sink) in [(a, g), (b, g), (g, f), (f, t), (g, t)] {
+            n.connect(src, sink).unwrap();
+        }
+        n.add_output("o", t).unwrap();
+        let region = Region::build(&n, t);
+        assert_eq!(region.path_count(g), 1, "flip-flop declared first: {ff_first}");
+        assert!(region.single_path(g), "flip-flop declared first: {ff_first}");
+    }
 }
