@@ -111,11 +111,8 @@ cmp "$SMOKE/det1.txt" "$SMOKE/det0.txt"
 echo "== tpi-bench --gain-model scoap (byte-identical across threads 1/2/0 and gain-update modes) =="
 "$BENCH" --gain-model scoap
 
-# The bench files go to the scratch dir: the committed BENCH_PR*.json
-# are recorded measurements, not something every CI run rewrites. The
-# gates inside tpi-bench still fail CI.
-echo "== tpi-bench sweep =="
-"$BENCH" --emit-bench "$SMOKE/bench-sweep.json"
+echo "== tpi-bench sweep (deterministic sections byte-identical across threads 1/2/0) =="
+"$BENCH"
 
 echo "== lane-engine equivalence (release, includes the 10k-gate circuit) =="
 cargo test -q --release -p tpi-core --test lane_equiv -- --include-ignored
@@ -135,15 +132,11 @@ cargo test -q --release -p tpi-core --lib tptime -- --include-ignored
 
 echo "== tpi-bench --large: gen50k lane-engine gates =="
 # Fails if selections/deterministic sections differ across --threads
-# 1/2/0, or if tpgreed at --threads 0 is >15% slower than --threads 1
-# (the TPGREED parallel-slowdown regression); on a 1-thread host that
-# timing gate prints "skipped (nproc=1)".
-"$BENCH" --large --emit-bench "$SMOKE/bench-large.json"
-
-echo "== tpi-bench --net: session loopback throughput =="
-# The 1k-connection thread-bound + Busy/backpressure test itself runs in
-# the tier-1 suite above (tests/net.rs); this produces the req/s numbers.
-"$BENCH" --net --emit-bench "$SMOKE/bench-net.json"
+# 1/2/0, if the pinned work counters (paths, rounds, candidates, test
+# points) move, or if tpgreed at --threads 0 is >15% slower than
+# --threads 1 (the TPGREED parallel-slowdown regression); on a 1-thread
+# host that timing gate prints "skipped (nproc=1)".
+"$BENCH" --large
 
 echo "== tpi-bench --gen-scale: industrial generator linearity gate =="
 # Fails if the 500k-gate design costs >4x the ns/gate of the 125k one

@@ -7,15 +7,15 @@
 //!   fixpoints, saturating arithmetic).
 //! - [`DomTree`] — structural observation dominators (single-point
 //!   observation bottlenecks, coverage proofs).
-//! - [`XReach`] — word-parallel X-propagation reach from uninitialized
+//! - [`XReach`] — one-pass X-propagation reach from uninitialized
 //!   flip-flops.
 //!
 //! The framework contract, shared by all three: every analysis is a
 //! pure function of the snapshot, sweeps run in the view's
 //! deterministic topo order (forward or reversed), transfer functions
 //! are monotone on their lattice (saturating `u32` min-cost for SCOAP,
-//! the dominator semilattice under [`DomTree`]'s intersection, bitwise
-//! OR for X planes), and sequential loops are closed by
+//! the dominator semilattice under [`DomTree`]'s intersection, boolean
+//! OR for X-reach flags), and sequential loops are closed by
 //! [`fixpoint`]-style iterate-to-convergence with an asserted pass
 //! bound. Nothing here depends on thread count, hash order, or
 //! allocation addresses, so results are byte-identical across

@@ -10,12 +10,11 @@
 //! ignoring controlling-value masking — the same over-approximation the
 //! ternary simulator would confirm case by case.
 //!
-//! The propagation is word-parallel in the PR 6 style: flip-flops are
-//! assigned bits of 64-wide planes, chunk by chunk, and one forward
-//! topo pass ORs each gate's plane into its sinks. Sequential
-//! boundaries stop the wave (a D pin's reach is its driver net's
-//! reach); `Output` ports are transparent. The per-net source count is
-//! exact for distinct flip-flops because each source owns one bit.
+//! The propagation is one forward topo pass over a per-net flag: every
+//! flip-flop Q is seeded, and each flagged gate flags its sinks.
+//! Sequential boundaries stop the wave (a D pin's reach is its driver
+//! net's reach, and the flip-flop itself is already seeded); `Output`
+//! ports are transparent.
 
 use tpi_netlist::GateKind;
 use tpi_sim::NetView;
@@ -23,15 +22,52 @@ use tpi_sim::NetView;
 /// Per-net X reach from uninitialized flip-flops.
 #[derive(Debug, Clone)]
 pub struct XReach {
-    /// Number of distinct flip-flops whose X can reach each net.
-    pub source_counts: Vec<u32>,
+    /// Whether some flip-flop's X can reach each net.
+    reached: Vec<bool>,
     /// Total flip-flops in the snapshot.
     pub ff_count: usize,
 }
 
 impl XReach {
-    /// Runs the bit-plane propagation over the snapshot.
+    /// Runs the one-pass propagation over the snapshot.
     pub fn analyze(view: &NetView) -> XReach {
+        let mut reached: Vec<bool> =
+            (0..view.gate_count()).map(|g| view.kind(g) == GateKind::Dff).collect();
+        let ff_count = reached.iter().filter(|&&r| r).count();
+        for &gi in view.topo() {
+            if reached[gi as usize] {
+                for &s in view.fanouts(gi as usize) {
+                    reached[s as usize] = true;
+                }
+            }
+        }
+        XReach { reached, ff_count }
+    }
+
+    /// Whether any flip-flop X can reach net `g`.
+    #[inline]
+    pub fn reachable(&self, g: usize) -> bool {
+        self.reached[g]
+    }
+
+    /// Number of X-reachable nets in the snapshot.
+    pub fn reachable_nets(&self) -> usize {
+        self.reached.iter().filter(|&&r| r).count()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tpi_netlist::Netlist;
+    use tpi_workloads::industrial::{generate_industrial, IndustrialSpec};
+    use tpi_workloads::{generate, smoke_suite, suite, CircuitSpec, StructureClass};
+
+    /// The per-source propagation the one-pass analysis replaced, kept
+    /// as its oracle: flip-flops own one bit of a 64-wide plane, chunk
+    /// by chunk, so each net's count of distinct reaching flip-flops is
+    /// exact. Returns the per-net counts and the flip-flop count.
+    fn chunked_source_counts(view: &NetView) -> (Vec<u32>, usize) {
         let n = view.gate_count();
         let ffs: Vec<u32> =
             (0..n as u32).filter(|&g| view.kind(g as usize) == GateKind::Dff).collect();
@@ -49,8 +85,6 @@ impl XReach {
                     continue;
                 }
                 for &s in view.fanouts(g) {
-                    // The flush wave stops at the next register; the D
-                    // driver net itself already carries the flag.
                     if view.kind(s as usize) != GateKind::Dff {
                         plane[s as usize] |= p;
                     }
@@ -60,28 +94,25 @@ impl XReach {
                 *count += p.count_ones();
             }
         }
-        XReach { source_counts, ff_count: ffs.len() }
+        (source_counts, ffs.len())
     }
 
-    /// Whether any flip-flop X can reach net `g`.
-    #[inline]
-    pub fn reachable(&self, g: usize) -> bool {
-        self.source_counts[g] > 0
+    /// Every net's flag, `xreach_nets` and `xreach_sources` equal the
+    /// oracle's.
+    fn assert_matches_oracle(n: &Netlist) {
+        let view = NetView::new(n);
+        let x = XReach::analyze(&view);
+        let (counts, ffs) = chunked_source_counts(&view);
+        for (g, &c) in counts.iter().enumerate() {
+            assert_eq!(x.reachable(g), c > 0, "{}: net {g}", n.name());
+        }
+        let nets = counts.iter().filter(|&&c| c > 0).count();
+        assert_eq!(x.reachable_nets(), nets, "{}: xreach_nets", n.name());
+        assert_eq!(x.ff_count, ffs, "{}: xreach_sources", n.name());
     }
-
-    /// Number of X-reachable nets in the snapshot.
-    pub fn reachable_nets(&self) -> usize {
-        self.source_counts.iter().filter(|&&c| c > 0).count()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tpi_netlist::Netlist;
 
     #[test]
-    fn reach_counts_distinct_sources() {
+    fn reach_flags_what_any_source_touches() {
         // Two FFs converge on one AND; a pure-PI net stays clean.
         let mut n = Netlist::new("t");
         let a = n.add_input("a");
@@ -96,16 +127,21 @@ mod tests {
         n.connect(a, clean).unwrap();
         n.add_output("y", g).unwrap();
         n.add_output("z", clean).unwrap();
-        let x = XReach::analyze(&NetView::new(&n));
+        let view = NetView::new(&n);
+        let x = XReach::analyze(&view);
         assert_eq!(x.ff_count, 2);
-        assert_eq!(x.source_counts[g.index()], 2);
-        assert_eq!(x.source_counts[f1.index()], 1);
-        assert_eq!(x.source_counts[clean.index()], 0);
-        assert!(!x.reachable(a.index()));
+        assert!(x.reachable(f1.index()));
         assert!(x.reachable(g.index()));
+        assert!(!x.reachable(a.index()));
+        assert!(!x.reachable(clean.index()));
         // The Output port is transparent: y carries g's reach.
-        assert_eq!(x.source_counts[n.outputs()[0].index()], 2);
+        assert!(x.reachable(n.outputs()[0].index()));
         assert_eq!(x.reachable_nets(), 4); // f1, f2, g, y
+                                           // The oracle counts distinct sources.
+        let (counts, _) = chunked_source_counts(&view);
+        assert_eq!(counts[g.index()], 2);
+        assert_eq!(counts[n.outputs()[0].index()], 2);
+        assert_matches_oracle(&n);
     }
 
     #[test]
@@ -118,10 +154,44 @@ mod tests {
         n.connect(inv, f2).unwrap();
         n.connect(f2, f1).unwrap();
         n.add_output("y", f2).unwrap();
-        let x = XReach::analyze(&NetView::new(&n));
-        // inv sees f1's X only; f2's own plane is just itself (the
+        // inv sees f1's X only; f2's own reach is just itself (the
         // boundary stops f1's wave at f2's D pin).
-        assert_eq!(x.source_counts[inv.index()], 1);
-        assert_eq!(x.source_counts[f2.index()], 1);
+        let (counts, _) = chunked_source_counts(&NetView::new(&n));
+        assert_eq!(counts[inv.index()], 1);
+        assert_eq!(counts[f2.index()], 1);
+        assert_matches_oracle(&n);
+    }
+
+    #[test]
+    fn one_pass_equals_the_chunked_oracle_on_the_suite() {
+        for spec in suite().iter().chain(&smoke_suite()) {
+            assert_matches_oracle(&generate(spec));
+        }
+    }
+
+    #[test]
+    fn one_pass_equals_the_chunked_oracle_on_seeded_circuits() {
+        for seed in 0..6u64 {
+            let structure = match seed % 3 {
+                0 => StructureClass::mixed(0.5, 4, 20, 2),
+                1 => StructureClass::datapath(4, 3, 2),
+                _ => StructureClass::multiplier(12),
+            };
+            let spec = CircuitSpec {
+                name: format!("seeded{seed}"),
+                inputs: 10,
+                outputs: 8,
+                ffs: 90 + 40 * seed as usize,
+                target_gates: 700,
+                structure,
+                seed,
+            };
+            assert_matches_oracle(&generate(&spec));
+            assert_matches_oracle(&generate_industrial(&IndustrialSpec::sized(
+                format!("ind{seed}"),
+                3_000,
+                seed,
+            )));
+        }
     }
 }

@@ -37,7 +37,7 @@
 
 use crate::ring::HashRing;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tpi_net::{
     ClientConfig, ClientError, Connection, ErrorCode, ErrorInfo, WireReport, WireRequest,
@@ -165,7 +165,9 @@ impl Backend {
     /// concurrent forwards share one session instead of racing to
     /// build several.
     fn connection(&self) -> Result<Arc<Connection>, ClientError> {
-        let mut slot = self.conn.lock().expect("conn lock never poisoned");
+        // Every update of the slot is one assignment, so a poisoned
+        // slot still holds a valid session or none.
+        let mut slot = self.conn.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(conn) = slot.as_ref() {
             if !conn.is_dead() {
                 return Ok(Arc::clone(conn));
@@ -178,7 +180,7 @@ impl Backend {
 
     /// Drops the session; the next use reconnects.
     fn disconnect(&self) {
-        *self.conn.lock().expect("conn lock never poisoned") = None;
+        *self.conn.lock().unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     fn hit_rate(&self) -> f64 {
@@ -252,9 +254,6 @@ impl Gateway {
     /// Routes and forwards one job; fails over along the ring until a
     /// backend answers or every backend has been tried.
     pub fn submit(&self, req: &WireRequest) -> Result<WireReport, GatewayError> {
-        if self.backends.is_empty() {
-            return Err(GatewayError::NoBackends);
-        }
         let key = Self::routing_key(req);
         let t0 = Instant::now();
 
@@ -264,13 +263,15 @@ impl Gateway {
         let mut candidates: Vec<usize> = Vec::with_capacity(ring_order.len());
         candidates.extend(ring_order.iter().filter(|&&b| self.is_healthy(b)));
         candidates.extend(ring_order.iter().filter(|&&b| !self.is_healthy(b)));
-        self.backends[ring_order[0]].routed.fetch_add(1, Ordering::Relaxed);
+        if let Some(&owner) = ring_order.first() {
+            self.backends[owner].routed.fetch_add(1, Ordering::Relaxed);
+        }
 
+        // Every candidate that does not return sets `last`, so it is
+        // `None` only when there are no backends.
         let mut last: Option<ClientError> = None;
-        let mut attempts = 0usize;
         for &b in &candidates {
             let backend = &self.backends[b];
-            attempts += 1;
             let forwarded = self.prepare(req, b, t0);
             let outcome = backend.connection().and_then(|conn| {
                 let ticket = conn.submit(&forwarded)?;
@@ -302,11 +303,11 @@ impl Gateway {
                 }
             }
         }
+        let Some(last) = last else {
+            return Err(GatewayError::NoBackends);
+        };
         self.exhausted.fetch_add(1, Ordering::Relaxed);
-        Err(GatewayError::Exhausted {
-            attempts,
-            last: last.expect("at least one backend was tried"),
-        })
+        Err(GatewayError::Exhausted { attempts: candidates.len(), last })
     }
 
     /// Serves a PeerFetch arriving *at the gateway* by asking the key's
@@ -414,7 +415,9 @@ impl Gateway {
     /// xorshift64*: the same tiny generator the client uses for retry
     /// jitter, seeded from [`GatewayConfig::seed`].
     fn next_rand(&self) -> u64 {
-        let mut s = self.rng.lock().expect("jitter lock never poisoned");
+        // The state is updated by one store, so a poisoned lock still
+        // guards a valid seed.
+        let mut s = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
         let mut x = *s;
         x ^= x >> 12;
         x ^= x << 25;

@@ -32,6 +32,13 @@
 //! direct netd, a 1-backend gateway, and a 3-backend gateway (with or
 //! without a mid-batch backend kill) produce `cmp`-identical reports.
 
+// The gateway sits on the request path of every routed job: its library
+// code answers with typed errors and never panics. Tests may unwrap.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod gateway;
 pub mod handler;
 pub mod ring;
