@@ -125,10 +125,20 @@ echo "== partial-scan identity (release, includes the large circuits) =="
 # their pinned digests.
 cargo test -q --release --test partial_scan_identity -- --include-ignored
 
+echo "== partial-scan work counters (release, includes the large circuits) =="
+# TD-CB and TPTIME rounds, candidates and selected flip-flops per circuit
+# must keep their pinned values.
+cargo test -q --release --test partial_scan_counters -- --include-ignored
+
 echo "== TPTIME planner oracles (release, includes the large circuits) =="
 # The incremental test-mode constants and the overlay plan check against
 # a from-scratch implication and a netlist clone, step by step.
 cargo test -q --release -p tpi-core --lib tptime -- --include-ignored
+
+echo "== s-graph and cycle-breaking oracles (release, includes the large circuits) =="
+# The level-ordered 64-wide s-graph build against a per-flip-flop BFS,
+# and the flat cycle-breaking reduction against the BTreeSet one.
+cargo test -q --release -p tpi-scan -- --include-ignored
 
 echo "== tpi-bench --large: gen50k lane-engine gates =="
 # Fails if selections/deterministic sections differ across --threads

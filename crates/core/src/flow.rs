@@ -24,8 +24,8 @@ use tpi_netlist::{GateId, Netlist, NetlistStats, TechLibrary};
 use tpi_obs::{FlowMetrics, Recorder};
 use tpi_par::Threads;
 use tpi_scan::{
-    break_cycles, flush_test_inductive, ChainLink, CycleBreakOptions, FlushReport, SGraph,
-    ScanChain,
+    break_cycles, flush_test_inductive, ChainLink, CycleBreakOptions, CycleBreaker, FlushReport,
+    SGraph, ScanChain,
 };
 use tpi_sim::Trit;
 use tpi_sta::{ClockConstraint, Sta};
@@ -514,7 +514,7 @@ impl PartialScanFlow {
         let baseline_span = rec.span(phases::BASELINE_ANALYSIS);
         let base_stats = NetlistStats::compute(n, &lib);
         let base_delay = Sta::analyze(n, &lib, ClockConstraint::LongestPath).circuit_delay();
-        let sgraph = SGraph::build(n);
+        let mut sgraph = SGraph::build(n).expect("netlist must be acyclic");
         let mut planner =
             ScanPlanner::new(n.clone(), lib.clone()).with_progress(Arc::clone(progress));
         drop(baseline_span);
@@ -533,7 +533,7 @@ impl PartialScanFlow {
             PartialScanMethod::TdCb => {
                 // Ref. [7]: re-time after each conversion; a flip-flop is
                 // selectable only while its D slack absorbs the mux.
-                Self::selection_loop(&sgraph, &mut planner, progress, |planner, selected| {
+                Self::selection_loop(&mut sgraph, &mut planner, progress, |planner, selected| {
                     let mut round = RoundOutcome::default();
                     for &ff in selected {
                         if planner.mux_fits_directly(ff) {
@@ -558,7 +558,7 @@ impl PartialScanFlow {
                 // speculation: cap the batch width at the physical core
                 // count or the wasted plans can never be repaid.
                 let width = threads.speculation_width();
-                Self::selection_loop(&sgraph, &mut planner, progress, |planner, selected| {
+                Self::selection_loop(&mut sgraph, &mut planner, progress, |planner, selected| {
                     let plans: Vec<Option<ScanPlan>> = if width <= 1 || selected.len() < 2 {
                         let mut plans = Vec::new();
                         for &ff in selected {
@@ -683,27 +683,29 @@ impl PartialScanFlow {
     /// reports the one it scanned, if any, plus the rejected prefix),
     /// mark the rejects and re-select; when no marked-free selection
     /// remains, fall back to minimal-degradation conventional scan
-    /// (largest D slack first).
+    /// (largest D slack first). Every scanned flip-flop leaves
+    /// `remaining` in place.
     fn selection_loop(
-        sgraph: &SGraph,
+        remaining: &mut SGraph,
         planner: &mut ScanPlanner,
         progress: &Progress,
         mut process_round: impl FnMut(&mut ScanPlanner, &[GateId]) -> RoundOutcome,
     ) -> Result<(), Canceled> {
-        let mut scanned: Vec<GateId> = Vec::new();
+        let mut breaker = CycleBreaker::new();
         let mut marked: HashSet<GateId> = HashSet::new();
         loop {
             progress.checkpoint()?;
-            let remaining = sgraph.without(&scanned);
-            if !remaining.has_cycle(&[]) {
-                break;
-            }
-            progress.add_round();
             let r = {
                 let marked_view = &marked;
                 let opts = CycleBreakOptions::timing_driven(move |ff| !marked_view.contains(&ff));
-                break_cycles(&remaining, &opts)
+                breaker.run(remaining, &opts)
             };
+            // Nothing selected and nothing unresolved: the reductions
+            // consumed the remaining graph whole, so it is acyclic.
+            if r.selected.is_empty() && r.unresolved.is_empty() {
+                break;
+            }
+            progress.add_round();
             let round = process_round(planner, &r.selected);
             // Inspected candidates this round = the rejected prefix plus
             // the committed hit (if any) — the same count the sequential
@@ -718,7 +720,7 @@ impl PartialScanFlow {
             }
             let progressed = round.scanned.is_some();
             if let Some(ff) = round.scanned {
-                scanned.push(ff);
+                remaining.remove(ff);
             }
             if progressed || newly_marked {
                 // Fresh marks change the selectability landscape: let the
@@ -739,7 +741,7 @@ impl PartialScanFlow {
                 break; // nothing left to try
             };
             planner.scan_conventionally(victim);
-            scanned.push(victim);
+            remaining.remove(victim);
             marked.remove(&victim);
         }
         Ok(())

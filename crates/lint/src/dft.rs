@@ -116,6 +116,7 @@ pub fn verify_flow(
 
     if !original_cyclic {
         check_sensitization(original, claims, &circuit, &mut diags);
+        check_sgraph(original, claims, &circuit, &mut diags);
     }
     if !transformed_cyclic {
         check_test_points(transformed, claims, &circuit, &mut diags);
@@ -123,7 +124,6 @@ pub fn verify_flow(
     }
     check_chain(transformed, claims, &circuit, &mut diags);
     check_scan_edges(original, claims, &circuit, &mut diags);
-    check_sgraph(original, claims, &circuit, &mut diags);
     check_accounting(original, claims, &circuit, &mut diags);
 
     crate::diag::sort_diagnostics(&mut diags);
@@ -437,7 +437,10 @@ fn check_scan_edges(
 }
 
 /// `TPI105`: when the flow claims acyclicity, removing the scanned
-/// flip-flops from the s-graph must actually kill every cycle.
+/// flip-flops from the s-graph must actually kill every cycle. The
+/// s-graph is built here, from the original netlist, independently of
+/// the flow's own; building it needs acyclic combinational logic, so
+/// `verify_flow` runs this check only on an acyclic original.
 fn check_sgraph(
     original: &Netlist,
     claims: &DftClaims,
@@ -447,12 +450,17 @@ fn check_sgraph(
     if !claims.claims_acyclic {
         return;
     }
+    // A combinational cycle has already been reported as TPI001.
+    let Ok(mut sgraph) = SGraph::build(original) else {
+        return;
+    };
     let scanned: Vec<GateId> = claims.links.iter().map(ChainLink::ff).collect();
-    let sgraph = SGraph::build(original);
     if sgraph.has_cycle(&scanned) {
-        let survivors = sgraph.without(&scanned);
+        for &ff in &scanned {
+            sgraph.remove(ff);
+        }
         let gates: Vec<String> =
-            survivors.cyclic_nodes().iter().map(|&f| original.gate_name(f).to_string()).collect();
+            sgraph.cyclic_nodes().iter().map(|&f| original.gate_name(f).to_string()).collect();
         diags.push(Diagnostic::new(
             LintCode::SGraphCyclic,
             circuit,

@@ -21,6 +21,6 @@ pub mod flush;
 pub mod sgraph;
 
 pub use chain::{ChainLink, ScanChain, StitchError};
-pub use cycle_break::{break_cycles, CycleBreakOptions, CycleBreakResult};
+pub use cycle_break::{break_cycles, CycleBreakOptions, CycleBreakResult, CycleBreaker};
 pub use flush::{flush_test, flush_test_inductive, FlushError, FlushMismatch, FlushReport};
 pub use sgraph::SGraph;

@@ -35,16 +35,24 @@ const MAX_ALLOCS_PER_GATE: f64 = 2.5;
 /// worker, would add a byte per gate for every flip-flop.
 const MAX_ENUMERATION_BYTES_PER_GATE: f64 = 256.0;
 
-/// Bytes a TPTIME run on `dsip` may allocate per gate. It measures 5,522
-/// with the planner's test-mode constants kept incrementally and each
-/// plan checked on a sparse overlay; cloning the netlist per plan and
-/// re-implying it after every edit measured 25,068.
+/// Bytes a TPTIME run on `dsip` may allocate per gate. It measures 2,840
+/// with the planner's test-mode constants kept incrementally, each plan
+/// checked on a sparse overlay and the s-graph edited in place (5,522
+/// with a fresh s-graph copy per round); cloning the netlist per plan
+/// and re-implying it after every edit measured 25,068.
 const MAX_TPTIME_BYTES_PER_GATE: f64 = 8_000.0;
 
-/// Bytes a CB run on `dsip` may allocate per gate. It measures 798;
-/// re-implying the whole netlist after every scan conversion measured
-/// 4,881.
+/// Bytes a CB run on `dsip` may allocate per gate. It measures 716 (798
+/// with `BTreeSet` s-graphs); re-implying the whole netlist after every
+/// scan conversion measured 4,881.
 const MAX_CB_BYTES_PER_GATE: f64 = 2_000.0;
+
+/// Bytes a TD-CB run on `dsip` may allocate per gate: the selection
+/// loop's bytes per round, over its 56 rounds. It measures 718 with one
+/// remaining s-graph edited in place and one reusable cycle-breaking
+/// work graph; cloning the s-graph and copying every adjacency set into
+/// `BTreeSet`s each round measured 3,400.
+const MAX_TDCB_BYTES_PER_GATE: f64 = 1_200.0;
 
 /// What a counted region allocated.
 #[derive(Debug, Clone, Copy, Default)]
@@ -205,4 +213,10 @@ fn tptime_allocates_at_most_8000_bytes_per_gate() {
 fn cb_allocates_at_most_2000_bytes_per_gate() {
     let per_gate = partial_scan_bytes_per_gate(PartialScanMethod::Cb);
     assert!(per_gate <= MAX_CB_BYTES_PER_GATE, "CB allocated {per_gate:.0} bytes per gate");
+}
+
+#[test]
+fn tdcb_allocates_at_most_1200_bytes_per_gate() {
+    let per_gate = partial_scan_bytes_per_gate(PartialScanMethod::TdCb);
+    assert!(per_gate <= MAX_TDCB_BYTES_PER_GATE, "TD-CB allocated {per_gate:.0} bytes per gate");
 }

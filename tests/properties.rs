@@ -185,7 +185,7 @@ proptest! {
     #[test]
     fn cycle_breaking_yields_fvs(spec in spec_strategy()) {
         let n = generate(&spec);
-        let g = SGraph::build(&n);
+        let g = SGraph::build(&n).expect("generated circuits are combinationally acyclic");
         let r = scanpath::scan::break_cycles(&g, &scanpath::scan::CycleBreakOptions::classic());
         prop_assert!(r.complete());
         prop_assert!(!g.has_cycle(&r.selected));

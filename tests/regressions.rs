@@ -13,6 +13,7 @@
 //! workload on which incremental TPGREED diverged from full
 //! recomputation.
 
+use scanpath::lint::{verify_flow, DftClaims, LintCode};
 use scanpath::netlist::{GateKind, Netlist, NetlistBuilder, TechLibrary};
 use scanpath::scan::SGraph;
 use scanpath::sim::{Implication, Trit};
@@ -148,7 +149,7 @@ fn replay_spec_only_properties(spec: &CircuitSpec) {
     assert!(in_deg.values().all(|&d| d <= 1));
 
     // cycle_breaking_yields_fvs
-    let g = SGraph::build(&n);
+    let g = SGraph::build(&n).expect("generated circuits are combinationally acyclic");
     let r = scanpath::scan::break_cycles(&g, &scanpath::scan::CycleBreakOptions::classic());
     assert!(r.complete());
     assert!(!g.has_cycle(&r.selected));
@@ -258,4 +259,27 @@ fn region_path_counts_do_not_run_through_flip_flops() {
         assert_eq!(region.path_count(g), 1, "flip-flop declared first: {ff_first}");
         assert!(region.single_path(g), "flip-flop declared first: {ff_first}");
     }
+}
+
+/// The s-graph is built in level order, which needs acyclic
+/// combinational logic. `verify_flow` used to build it on every
+/// original; on one with a combinational loop it must report the loop
+/// (TPI001) and skip the s-graph check, even when the claims say the
+/// s-graph is acyclic, rather than fail to build it.
+#[test]
+fn verify_flow_on_a_comb_cyclic_original_reports_the_cycle() {
+    let mut n = Netlist::new("comb_loop");
+    let f = n.add_gate(GateKind::Dff, "f");
+    let a = n.add_gate(GateKind::And, "a");
+    let b = n.add_gate(GateKind::Inv, "b");
+    // f -> a -> b -> f is sequential feedback; a <-> b is a
+    // combinational loop.
+    for (src, sink) in [(f, a), (b, a), (a, b), (b, f)] {
+        n.connect(src, sink).unwrap();
+    }
+    n.add_output("o", b).unwrap();
+    let claims = DftClaims { claims_acyclic: true, ..DftClaims::default() };
+    let diags = verify_flow(&n, &n, &claims);
+    assert!(diags.iter().any(|d| d.code == LintCode::CombCycle), "{diags:?}");
+    assert!(!diags.iter().any(|d| d.code == LintCode::SGraphCyclic), "{diags:?}");
 }
