@@ -131,9 +131,15 @@ echo "== partial-scan work counters (release, includes the large circuits) =="
 cargo test -q --release --test partial_scan_counters -- --include-ignored
 
 echo "== TPTIME planner oracles (release, includes the large circuits) =="
-# The incremental test-mode constants and the overlay plan check against
-# a from-scratch implication and a netlist clone, step by step.
+# The incremental test-mode constants, the overlay plan check and the
+# Eq. 2-4 table against a from-scratch implication, a netlist clone and
+# the clone-merging recursion, step by step.
 cargo test -q --release -p tpi-core --lib tptime -- --include-ignored
+
+echo "== region oracle (release, includes the large circuits) =="
+# The cone-local Region::build against the topologically sorted one,
+# on original and TPTIME-transformed netlists.
+cargo test -q --release --test region_oracle -- --include-ignored
 
 echo "== s-graph and cycle-breaking oracles (release, includes the large circuits) =="
 # The level-ordered 64-wide s-graph build against a per-flip-flop BFS,

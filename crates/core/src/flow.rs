@@ -513,10 +513,11 @@ impl PartialScanFlow {
         let lib = TechLibrary::paper();
         let baseline_span = rec.span(phases::BASELINE_ANALYSIS);
         let base_stats = NetlistStats::compute(n, &lib);
-        let base_delay = Sta::analyze(n, &lib, ClockConstraint::LongestPath).circuit_delay();
         let mut sgraph = SGraph::build(n).expect("netlist must be acyclic");
         let mut planner =
             ScanPlanner::new(n.clone(), lib.clone()).with_progress(Arc::clone(progress));
+        // The planner's baseline STA ran on an identical copy of `n`.
+        let base_delay = planner.baseline_delay();
         drop(baseline_span);
 
         let selection_span = rec.span(phases::SELECTION);

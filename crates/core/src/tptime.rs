@@ -91,9 +91,30 @@ impl Want {
             Want::Scan => Trit::X,
         }
     }
+    /// What an inverter's input must carry for its output to meet `self`.
+    fn inverse(self) -> Want {
+        match self {
+            Want::Scan => Want::Scan,
+            Want::C0 => Want::C1,
+            Want::C1 => Want::C0,
+        }
+    }
+    /// The gate case 1 of the equation splices at the net.
+    fn splice_kind(self) -> GateKind {
+        match self {
+            Want::Scan => GateKind::Mux,
+            Want::C0 => GateKind::And,
+            Want::C1 => GateKind::Or,
+        }
+    }
 }
 
-#[derive(Debug, Clone)]
+/// The cheapest Eq. 2–4 solution for scan data at a flip-flop's D net:
+/// its area cost and polarity, and the edits, desired constants and
+/// scan route of every case it chose, each list in the order the
+/// recursion concatenates them (a sub-solution reached twice appears
+/// twice).
+#[derive(Debug, Clone, PartialEq)]
 struct Solution {
     cost: f64,
     actions: Vec<PlanAction>,
@@ -102,31 +123,318 @@ struct Solution {
     inverting: bool,
 }
 
-impl Solution {
-    fn free(net: GateId, v: Trit) -> Self {
-        Solution {
-            cost: 0.0,
-            actions: vec![],
-            desired: vec![(net, v)],
-            route: vec![],
-            inverting: false,
-        }
-    }
-    fn merge(mut self, other: Solution) -> Self {
-        self.cost += other.cost;
-        self.actions.extend(other.actions);
-        self.desired.extend(other.desired);
-        self.route.extend(other.route);
-        self.inverting ^= other.inverting;
-        self
-    }
+/// The case of Eqs. 2–4 that gives one `(net, want)` its cheapest
+/// solution; [`Equations::emit`] replays it.
+#[derive(Debug, Clone, Copy)]
+enum Choice {
+    /// The net already carries the wanted constant, or is a constant
+    /// gate of that value.
+    Free,
+    /// Case 1 of each equation: splice a MUX, AND or OR at the net.
+    Splice,
+    /// Hold the primary input at the wanted value.
+    HoldPi,
+    /// Through an inverter or a buffer.
+    Through,
+    /// Scan data rides fanin `j` of an AND/OR-family gate; every other
+    /// fanin is sensitized.
+    Ride(u32),
+    /// Scan data rides fanin `j` of an XOR/XNOR gate; the other fanin
+    /// is held at `side`.
+    RideXor(u32, Trit),
+    /// Fanin `j` takes the controlling value.
+    Control(u32),
+    /// Every fanin takes the non-controlling value.
+    Sensitize,
+    /// XOR/XNOR constant: fanin 0 is held at this value, fanin 1 at the
+    /// one that completes the parity.
+    Parity(Trit),
 }
 
-fn better(a: Option<Solution>, b: Option<Solution>) -> Option<Solution> {
+/// The cheapest solution of one `(net, want)`: its cost, polarity and
+/// the case it came from.
+#[derive(Debug, Clone, Copy)]
+struct Best {
+    cost: f64,
+    inverting: bool,
+    choice: Choice,
+}
+
+/// The cheaper of two solutions; on a tie, the one found first.
+fn better(a: Option<Best>, b: Option<Best>) -> Option<Best> {
     match (a, b) {
         (Some(x), Some(y)) => Some(if y.cost < x.cost { y } else { x }),
         (x, None) => x,
         (None, y) => y,
+    }
+}
+
+/// One plan's evaluation of Eqs. 2–4 over a region: the cheapest
+/// solution of every `(net, want)` the recursion reaches, kept as a
+/// cost, a polarity and a [`Choice`] in a flat table indexed by the
+/// net's position in the region's cone. Costs add in the order the
+/// equations combine sub-solutions, and a later candidate replaces an
+/// earlier one only when strictly cheaper, so the winner is the one
+/// the merged solutions would pick; its lists are written once, by
+/// [`Equations::emit`].
+struct Equations<'a> {
+    planner: &'a ScanPlanner,
+    region: &'a Region,
+    /// Per `(cone position, want)`: `None` until evaluated, then the
+    /// cheapest solution or `Some(None)` when there is none.
+    table: Vec<Option<Option<Best>>>,
+}
+
+impl<'a> Equations<'a> {
+    fn new(planner: &'a ScanPlanner, region: &'a Region) -> Self {
+        Equations { planner, region, table: vec![None; 3 * region.cone().len()] }
+    }
+
+    fn slot(&self, net: GateId, want: Want) -> usize {
+        let i = self.region.cone_index(net).expect("Eqs. 2-4 stay in the fanin cone");
+        3 * i + want as usize
+    }
+
+    /// Cost and polarity of the cheapest solution of `(net, want)`.
+    /// `want` selects the equation: `Scan` for Eq. 2, `C0`/`C1` for
+    /// Eqs. 3 and 4.
+    fn solve(&mut self, net: GateId, want: Want) -> Option<(f64, bool)> {
+        let slot = self.slot(net, want);
+        let best = match self.table[slot] {
+            Some(best) => best,
+            None => {
+                let best = self.evaluate(net, want);
+                self.table[slot] = Some(best);
+                best
+            }
+        };
+        best.map(|b| (b.cost, b.inverting))
+    }
+
+    fn evaluate(&mut self, net: GateId, want: Want) -> Option<Best> {
+        let p = self.planner;
+        let cur = p.values[net.index()];
+        let prot = p.protected.get(&net).copied();
+        let on_route = p.route.contains(&net);
+
+        if want != Want::Scan {
+            let v = want.value();
+            // Already carried (desired or side-effect constant of the
+            // right polarity): free.
+            if cur == v {
+                return Some(Best { cost: 0.0, inverting: false, choice: Choice::Free });
+            }
+            // A desired constant of the opposite polarity, or a net
+            // already carrying scan data, must not be disturbed.
+            if prot.is_some_and(|p| p != v) || on_route {
+                return None;
+            }
+        } else if on_route || prot.is_some() {
+            // Scan data cannot ride a net another chain element uses, nor
+            // a net pinned to a desired constant.
+            return None;
+        }
+
+        // Case 1 of each equation: splice a gate here if the slack
+        // absorbs it (and the net is not protected — checked above).
+        let spliced = want.splice_kind();
+        let direct = p.sta.can_insert(net, spliced).then(|| Best {
+            cost: p.lib.cell(spliced).area,
+            inverting: false,
+            choice: Choice::Splice,
+        });
+
+        // Recursive cases: only within the non-reconvergent fanin region
+        // (Theorem 1 lets us treat slack() as constant there).
+        let recursive =
+            if self.region.single_path(net) { self.evaluate_fanins(net, want) } else { None };
+
+        better(direct, recursive)
+    }
+
+    /// The recursive cases of Eqs. 2–4 at `net`, which has a single
+    /// path to the target.
+    fn evaluate_fanins(&mut self, net: GateId, want: Want) -> Option<Best> {
+        let p = self.planner;
+        let kind = p.n.kind(net);
+        let fanins = p.n.fanin(net);
+        let best = |cost: f64, inverting: bool, choice: Choice| Best { cost, inverting, choice };
+        match (kind, want) {
+            (GateKind::Input, Want::C0 | Want::C1) => match p.pi_assign.get(&net) {
+                Some(&held) if held != want.value() => None,
+                _ => Some(best(0.0, false, Choice::HoldPi)),
+            },
+            (GateKind::Const0, Want::C0) | (GateKind::Const1, Want::C1) => {
+                Some(best(0.0, false, Choice::Free))
+            }
+            (GateKind::Inv, w) => self
+                .solve(fanins[0], w.inverse())
+                .map(|(cost, inv)| best(cost, inv ^ (w == Want::Scan), Choice::Through)),
+            (GateKind::Buf, w) => {
+                self.solve(fanins[0], w).map(|(cost, inv)| best(cost, inv, Choice::Through))
+            }
+            (GateKind::And | GateKind::Or | GateKind::Nand | GateKind::Nor, Want::Scan) => {
+                let sens = Want::of(!controlling(kind));
+                let mut cheapest = None;
+                for (j, &fj) in fanins.iter().enumerate() {
+                    let Some((mut cost, mut inverting)) = self.solve(fj, Want::Scan) else {
+                        continue;
+                    };
+                    let mut sensitized = true;
+                    for (k, &fk) in fanins.iter().enumerate() {
+                        if k == j {
+                            continue;
+                        }
+                        let Some((c, inv)) = self.solve(fk, sens) else {
+                            sensitized = false;
+                            break;
+                        };
+                        cost += c;
+                        inverting ^= inv;
+                    }
+                    if sensitized {
+                        cheapest =
+                            better(cheapest, Some(best(cost, inverting, Choice::Ride(j as u32))));
+                    }
+                }
+                cheapest.map(|b| Best { inverting: b.inverting ^ kind.inverts(), ..b })
+            }
+            (GateKind::Xor | GateKind::Xnor, Want::Scan) => {
+                // The side value picks the polarity: XOR with side 0
+                // buffers, with side 1 inverts (XNOR is the mirror).
+                let mut cheapest = None;
+                for (j, &fj) in fanins.iter().enumerate() {
+                    let Some((ride, ride_inv)) = self.solve(fj, Want::Scan) else { continue };
+                    for side in [Trit::Zero, Trit::One] {
+                        let Some((c, inv)) = self.solve(fanins[1 - j], Want::of(side)) else {
+                            continue;
+                        };
+                        let flips = (side == Trit::One) ^ (kind == GateKind::Xnor);
+                        let choice = Choice::RideXor(j as u32, side);
+                        cheapest =
+                            better(cheapest, Some(best(ride + c, ride_inv ^ inv ^ flips, choice)));
+                    }
+                }
+                cheapest
+            }
+            (GateKind::And | GateKind::Or | GateKind::Nand | GateKind::Nor, w) => {
+                let ctrl = controlling(kind);
+                let out_for_ctrl = if kind.inverts() { !ctrl } else { ctrl };
+                if w.value() == out_for_ctrl {
+                    // One controlling input suffices: pick cheapest.
+                    let mut cheapest = None;
+                    for (j, &f) in fanins.iter().enumerate() {
+                        let control = self.solve(f, Want::of(ctrl));
+                        cheapest = better(
+                            cheapest,
+                            control.map(|(cost, inv)| best(cost, inv, Choice::Control(j as u32))),
+                        );
+                    }
+                    cheapest
+                } else {
+                    // Every input must be sensitizing.
+                    let (mut cost, mut inverting) = (0.0, false);
+                    for &f in fanins {
+                        let (c, inv) = self.solve(f, Want::of(!ctrl))?;
+                        cost += c;
+                        inverting ^= inv;
+                    }
+                    Some(best(cost, inverting, Choice::Sensitize))
+                }
+            }
+            (GateKind::Xor | GateKind::Xnor, w) => {
+                let mut cheapest = None;
+                for first in [Trit::Zero, Trit::One] {
+                    let second = parity_partner(kind, first, w.value());
+                    let pair = match (
+                        self.solve(fanins[0], Want::of(first)),
+                        self.solve(fanins[1], Want::of(second)),
+                    ) {
+                        (Some((a, ia)), Some((b, ib))) => {
+                            Some(best(a + b, ia ^ ib, Choice::Parity(first)))
+                        }
+                        _ => None,
+                    };
+                    cheapest = better(cheapest, pair);
+                }
+                cheapest
+            }
+            // FLIP-FLOP (Eqs. 2–4 last row), MUX, ports: no recursion.
+            _ => None,
+        }
+    }
+
+    /// Appends the cheapest solution of `(net, want)` to `out`: the
+    /// chosen case's sub-solutions in the order the equations combine
+    /// them, then the case's own edit and the net itself, on the route
+    /// (`Scan`) or among the desired constants.
+    fn emit(&self, net: GateId, want: Want, out: &mut Solution) {
+        let best = self.table[self.slot(net, want)]
+            .flatten()
+            .expect("only evaluated, feasible solutions are emitted");
+        let n = &self.planner.n;
+        let kind = n.kind(net);
+        let fanins = n.fanin(net);
+        match best.choice {
+            Choice::Free => {}
+            Choice::Splice => out.actions.push(match want {
+                Want::Scan => PlanAction::InsertMux { at: net },
+                Want::C0 => PlanAction::InsertAnd { at: net },
+                Want::C1 => PlanAction::InsertOr { at: net },
+            }),
+            Choice::HoldPi => {
+                out.actions.push(PlanAction::AssignPi { pi: net, value: want.value() })
+            }
+            Choice::Through => {
+                let inner = if kind == GateKind::Inv { want.inverse() } else { want };
+                self.emit(fanins[0], inner, out);
+            }
+            Choice::Ride(j) => {
+                let sens = Want::of(!controlling(kind));
+                self.emit(fanins[j as usize], Want::Scan, out);
+                for (k, &fk) in fanins.iter().enumerate() {
+                    if k != j as usize {
+                        self.emit(fk, sens, out);
+                    }
+                }
+            }
+            Choice::RideXor(j, side) => {
+                self.emit(fanins[j as usize], Want::Scan, out);
+                self.emit(fanins[1 - j as usize], Want::of(side), out);
+            }
+            Choice::Control(j) => {
+                let ctrl = controlling(kind);
+                self.emit(fanins[j as usize], Want::of(ctrl), out);
+            }
+            Choice::Sensitize => {
+                let ctrl = controlling(kind);
+                for &f in fanins {
+                    self.emit(f, Want::of(!ctrl), out);
+                }
+            }
+            Choice::Parity(first) => {
+                self.emit(fanins[0], Want::of(first), out);
+                self.emit(fanins[1], Want::of(parity_partner(kind, first, want.value())), out);
+            }
+        }
+        match want {
+            Want::Scan => out.route.push(net),
+            w => out.desired.push((net, w.value())),
+        }
+    }
+}
+
+/// The controlling value of an AND/OR-family gate.
+fn controlling(kind: GateKind) -> Trit {
+    Trit::from(kind.controlling_value().expect("and/or family"))
+}
+
+/// The value fanin 1 of an XOR/XNOR needs, with fanin 0 at `first`, for
+/// the output to be `out`.
+fn parity_partner(kind: GateKind, first: Trit, out: Trit) -> Trit {
+    match kind {
+        GateKind::Xor => first.xor(out),
+        _ => !first.xor(out),
     }
 }
 
@@ -310,8 +618,7 @@ impl ScanPlanner {
         self.progress.add_plans_attempted(1);
         let d = self.n.fanin(ff)[0];
         let region = Region::build(&self.n, d);
-        let mut memo: HashMap<(GateId, Want), Option<Solution>> = HashMap::new();
-        let sol = self.solve(d, Want::Scan, &region, &mut memo)?;
+        let sol = self.cheapest_solution(d, &region)?;
         let mut new_pis: Vec<(GateId, Trit)> = Vec::new();
         for a in &sol.actions {
             if let PlanAction::AssignPi { pi, value } = *a {
@@ -347,6 +654,16 @@ impl ScanPlanner {
             route,
         };
         Some((plan, new_pis))
+    }
+
+    /// The cheapest Eq. 2–4 solution for scan data at `d`, the D net
+    /// of a flip-flop, searched within `d`'s region.
+    fn cheapest_solution(&self, d: GateId, region: &Region) -> Option<Solution> {
+        let mut equations = Equations::new(self, region);
+        let (cost, inverting) = equations.solve(d, Want::Scan)?;
+        let mut sol = Solution { cost, actions: vec![], desired: vec![], route: vec![], inverting };
+        equations.emit(d, Want::Scan, &mut sol);
+        Some(sol)
     }
 
     /// Decides whether `plan`, with the PI assignments `new_pis` it adds,
@@ -474,240 +791,6 @@ impl ScanPlanner {
             }
         }
         true
-    }
-
-    /// The Eq. 2–4 recursion. `want` selects the equation: `Scan` for
-    /// Eq. 2, `C0`/`C1` for Eqs. 3 and 4.
-    fn solve(
-        &self,
-        net: GateId,
-        want: Want,
-        region: &Region,
-        memo: &mut HashMap<(GateId, Want), Option<Solution>>,
-    ) -> Option<Solution> {
-        if let Some(hit) = memo.get(&(net, want)) {
-            return hit.clone();
-        }
-        let sol = self.solve_uncached(net, want, region, memo);
-        memo.insert((net, want), sol.clone());
-        sol
-    }
-
-    fn solve_uncached(
-        &self,
-        net: GateId,
-        want: Want,
-        region: &Region,
-        memo: &mut HashMap<(GateId, Want), Option<Solution>>,
-    ) -> Option<Solution> {
-        let kind = self.n.kind(net);
-        let cur = self.values[net.index()];
-        let prot = self.protected.get(&net).copied();
-        let on_route = self.route.contains(&net);
-
-        if want != Want::Scan {
-            let v = want.value();
-            // Already carried (desired or side-effect constant of the
-            // right polarity): free.
-            if cur == v {
-                return Some(Solution::free(net, v));
-            }
-            // A desired constant of the opposite polarity, or a net
-            // already carrying scan data, must not be disturbed.
-            if prot.is_some_and(|p| p != v) || on_route {
-                return None;
-            }
-        } else {
-            // Scan data cannot ride a net another chain element uses, nor
-            // a net pinned to a desired constant.
-            if on_route || prot.is_some() {
-                return None;
-            }
-        }
-
-        // Case 1 of each equation: splice a gate here if the slack
-        // absorbs it (and the net is not protected — checked above).
-        let direct: Option<Solution> = {
-            let (gk, act): (GateKind, fn(GateId) -> PlanAction) = match want {
-                Want::Scan => (GateKind::Mux, |g| PlanAction::InsertMux { at: g }),
-                Want::C0 => (GateKind::And, |g| PlanAction::InsertAnd { at: g }),
-                Want::C1 => (GateKind::Or, |g| PlanAction::InsertOr { at: g }),
-            };
-            if self.sta.can_insert(net, gk) {
-                let mut s = Solution {
-                    cost: self.lib.cell(gk).area,
-                    actions: vec![act(net)],
-                    desired: vec![],
-                    route: vec![],
-                    inverting: false,
-                };
-                match want {
-                    Want::Scan => s.route.push(net),
-                    _ => s.desired.push((net, want.value())),
-                }
-                Some(s)
-            } else {
-                None
-            }
-        };
-
-        // Recursive cases: only within the non-reconvergent fanin region
-        // (Theorem 1 lets us treat slack() as constant there).
-        let recursive: Option<Solution> = if !region.single_path(net) {
-            None
-        } else {
-            let fanins: Vec<GateId> = self.n.fanin(net).to_vec();
-            match (kind, want) {
-                (GateKind::Input, Want::C0 | Want::C1) => {
-                    let v = want.value();
-                    match self.pi_assign.get(&net) {
-                        Some(&p) if p != v => None,
-                        _ => Some(Solution {
-                            cost: 0.0,
-                            actions: vec![PlanAction::AssignPi { pi: net, value: v }],
-                            desired: vec![(net, v)],
-                            route: vec![],
-                            inverting: false,
-                        }),
-                    }
-                }
-                (GateKind::Const0, Want::C0) | (GateKind::Const1, Want::C1) => {
-                    Some(Solution::free(net, want.value()))
-                }
-                (GateKind::Inv, w) => {
-                    let inner = match w {
-                        Want::Scan => Want::Scan,
-                        Want::C0 => Want::C1,
-                        Want::C1 => Want::C0,
-                    };
-                    self.solve(fanins[0], inner, region, memo).map(|mut s| {
-                        if w == Want::Scan {
-                            s.inverting = !s.inverting;
-                            s.route.push(net);
-                        } else {
-                            s.desired.push((net, w.value()));
-                        }
-                        s
-                    })
-                }
-                (GateKind::Buf, w) => self.solve(fanins[0], w, region, memo).map(|mut s| {
-                    if w == Want::Scan {
-                        s.route.push(net);
-                    } else {
-                        s.desired.push((net, w.value()));
-                    }
-                    s
-                }),
-                (GateKind::And | GateKind::Or | GateKind::Nand | GateKind::Nor, Want::Scan) => {
-                    let sens = Trit::from(!kind.controlling_value().expect("and/or family"));
-                    let mut best: Option<Solution> = None;
-                    for (j, &fj) in fanins.iter().enumerate() {
-                        let Some(ride) = self.solve(fj, Want::Scan, region, memo) else { continue };
-                        let mut total = Some(ride);
-                        for (k, &fk) in fanins.iter().enumerate() {
-                            if k == j {
-                                continue;
-                            }
-                            total = match (total, self.solve(fk, Want::of(sens), region, memo)) {
-                                (Some(t), Some(s)) => Some(t.merge(s)),
-                                _ => None,
-                            };
-                        }
-                        best = better(best, total);
-                    }
-                    best.map(|mut s| {
-                        if kind.inverts() {
-                            s.inverting = !s.inverting;
-                        }
-                        s.route.push(net);
-                        s
-                    })
-                }
-                (GateKind::Xor | GateKind::Xnor, Want::Scan) => {
-                    // The side value picks the polarity: XOR with side 0
-                    // buffers, with side 1 inverts (XNOR is the mirror).
-                    let mut best: Option<Solution> = None;
-                    for (j, &fj) in fanins.iter().enumerate() {
-                        let Some(ride) = self.solve(fj, Want::Scan, region, memo) else { continue };
-                        let fk = fanins[1 - j];
-                        for side in [Trit::Zero, Trit::One] {
-                            let Some(cst) = self.solve(fk, Want::of(side), region, memo) else {
-                                continue;
-                            };
-                            let mut t = ride.clone().merge(cst);
-                            let flips = (side == Trit::One) ^ (kind == GateKind::Xnor);
-                            if flips {
-                                t.inverting = !t.inverting;
-                            }
-                            best = better(best, Some(t));
-                        }
-                    }
-                    best.map(|mut s| {
-                        s.route.push(net);
-                        s
-                    })
-                }
-                (GateKind::And | GateKind::Or | GateKind::Nand | GateKind::Nor, w) => {
-                    let v = w.value();
-                    let ctrl = Trit::from(kind.controlling_value().expect("and/or family"));
-                    let out_for_ctrl = if kind.inverts() { !ctrl } else { ctrl };
-                    let sol = if v == out_for_ctrl {
-                        // One controlling input suffices: pick cheapest.
-                        let mut best: Option<Solution> = None;
-                        for &f in &fanins {
-                            best = better(best, self.solve(f, Want::of(ctrl), region, memo));
-                        }
-                        best
-                    } else {
-                        // Every input must be sensitizing.
-                        let mut total = Some(Solution {
-                            cost: 0.0,
-                            actions: vec![],
-                            desired: vec![],
-                            route: vec![],
-                            inverting: false,
-                        });
-                        for &f in &fanins {
-                            total = match (total, self.solve(f, Want::of(!ctrl), region, memo)) {
-                                (Some(t), Some(s)) => Some(t.merge(s)),
-                                _ => None,
-                            };
-                        }
-                        total
-                    };
-                    sol.map(|mut s| {
-                        s.desired.push((net, v));
-                        s
-                    })
-                }
-                (GateKind::Xor | GateKind::Xnor, w) => {
-                    let vwant = w.value();
-                    let mut best: Option<Solution> = None;
-                    for first in [Trit::Zero, Trit::One] {
-                        let second = match kind {
-                            GateKind::Xor => first.xor(vwant),
-                            _ => !first.xor(vwant),
-                        };
-                        let t = match (
-                            self.solve(fanins[0], Want::of(first), region, memo),
-                            self.solve(fanins[1], Want::of(second), region, memo),
-                        ) {
-                            (Some(a), Some(b)) => Some(a.merge(b)),
-                            _ => None,
-                        };
-                        best = better(best, t);
-                    }
-                    best.map(|mut s| {
-                        s.desired.push((net, vwant));
-                        s
-                    })
-                }
-                // FLIP-FLOP (Eqs. 2–4 last row), MUX, ports: no recursion.
-                _ => None,
-            }
-        };
-
-        better(direct, recursive)
     }
 
     /// Applies a plan physically: splices the gates, records protections,
@@ -943,6 +1026,290 @@ fn compute_values(n: &Netlist, pi_assign: &HashMap<GateId, Trit>) -> Vec<Trit> {
     n.gate_ids().map(|g| imp.value(g)).collect()
 }
 
+/// The reference Eq. 2–4 recursion the table in [`Equations`] is held
+/// to: it builds a whole [`Solution`] per `(net, want)`, merging and
+/// cloning sub-solutions, with a `HashMap` memo. Kept as it stood
+/// before the table replaced it.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    impl Solution {
+        fn free(net: GateId, v: Trit) -> Self {
+            Solution {
+                cost: 0.0,
+                actions: vec![],
+                desired: vec![(net, v)],
+                route: vec![],
+                inverting: false,
+            }
+        }
+        fn merge(mut self, other: Solution) -> Self {
+            self.cost += other.cost;
+            self.actions.extend(other.actions);
+            self.desired.extend(other.desired);
+            self.route.extend(other.route);
+            self.inverting ^= other.inverting;
+            self
+        }
+    }
+
+    fn better(a: Option<Solution>, b: Option<Solution>) -> Option<Solution> {
+        match (a, b) {
+            (Some(x), Some(y)) => Some(if y.cost < x.cost { y } else { x }),
+            (x, None) => x,
+            (None, y) => y,
+        }
+    }
+
+    impl ScanPlanner {
+        /// The reference solution for scan data at `d`.
+        pub(super) fn oracle_solution(&self, d: GateId, region: &Region) -> Option<Solution> {
+            self.solve(d, Want::Scan, region, &mut HashMap::new())
+        }
+
+        /// The Eq. 2–4 recursion. `want` selects the equation: `Scan` for
+        /// Eq. 2, `C0`/`C1` for Eqs. 3 and 4.
+        fn solve(
+            &self,
+            net: GateId,
+            want: Want,
+            region: &Region,
+            memo: &mut HashMap<(GateId, Want), Option<Solution>>,
+        ) -> Option<Solution> {
+            if let Some(hit) = memo.get(&(net, want)) {
+                return hit.clone();
+            }
+            let sol = self.solve_uncached(net, want, region, memo);
+            memo.insert((net, want), sol.clone());
+            sol
+        }
+
+        fn solve_uncached(
+            &self,
+            net: GateId,
+            want: Want,
+            region: &Region,
+            memo: &mut HashMap<(GateId, Want), Option<Solution>>,
+        ) -> Option<Solution> {
+            let kind = self.n.kind(net);
+            let cur = self.values[net.index()];
+            let prot = self.protected.get(&net).copied();
+            let on_route = self.route.contains(&net);
+
+            if want != Want::Scan {
+                let v = want.value();
+                // Already carried (desired or side-effect constant of the
+                // right polarity): free.
+                if cur == v {
+                    return Some(Solution::free(net, v));
+                }
+                // A desired constant of the opposite polarity, or a net
+                // already carrying scan data, must not be disturbed.
+                if prot.is_some_and(|p| p != v) || on_route {
+                    return None;
+                }
+            } else {
+                // Scan data cannot ride a net another chain element uses, nor
+                // a net pinned to a desired constant.
+                if on_route || prot.is_some() {
+                    return None;
+                }
+            }
+
+            // Case 1 of each equation: splice a gate here if the slack
+            // absorbs it (and the net is not protected — checked above).
+            let direct: Option<Solution> = {
+                let (gk, act): (GateKind, fn(GateId) -> PlanAction) = match want {
+                    Want::Scan => (GateKind::Mux, |g| PlanAction::InsertMux { at: g }),
+                    Want::C0 => (GateKind::And, |g| PlanAction::InsertAnd { at: g }),
+                    Want::C1 => (GateKind::Or, |g| PlanAction::InsertOr { at: g }),
+                };
+                if self.sta.can_insert(net, gk) {
+                    let mut s = Solution {
+                        cost: self.lib.cell(gk).area,
+                        actions: vec![act(net)],
+                        desired: vec![],
+                        route: vec![],
+                        inverting: false,
+                    };
+                    match want {
+                        Want::Scan => s.route.push(net),
+                        _ => s.desired.push((net, want.value())),
+                    }
+                    Some(s)
+                } else {
+                    None
+                }
+            };
+
+            // Recursive cases: only within the non-reconvergent fanin region
+            // (Theorem 1 lets us treat slack() as constant there).
+            let recursive: Option<Solution> = if !region.single_path(net) {
+                None
+            } else {
+                let fanins: Vec<GateId> = self.n.fanin(net).to_vec();
+                match (kind, want) {
+                    (GateKind::Input, Want::C0 | Want::C1) => {
+                        let v = want.value();
+                        match self.pi_assign.get(&net) {
+                            Some(&p) if p != v => None,
+                            _ => Some(Solution {
+                                cost: 0.0,
+                                actions: vec![PlanAction::AssignPi { pi: net, value: v }],
+                                desired: vec![(net, v)],
+                                route: vec![],
+                                inverting: false,
+                            }),
+                        }
+                    }
+                    (GateKind::Const0, Want::C0) | (GateKind::Const1, Want::C1) => {
+                        Some(Solution::free(net, want.value()))
+                    }
+                    (GateKind::Inv, w) => {
+                        let inner = match w {
+                            Want::Scan => Want::Scan,
+                            Want::C0 => Want::C1,
+                            Want::C1 => Want::C0,
+                        };
+                        self.solve(fanins[0], inner, region, memo).map(|mut s| {
+                            if w == Want::Scan {
+                                s.inverting = !s.inverting;
+                                s.route.push(net);
+                            } else {
+                                s.desired.push((net, w.value()));
+                            }
+                            s
+                        })
+                    }
+                    (GateKind::Buf, w) => self.solve(fanins[0], w, region, memo).map(|mut s| {
+                        if w == Want::Scan {
+                            s.route.push(net);
+                        } else {
+                            s.desired.push((net, w.value()));
+                        }
+                        s
+                    }),
+                    (GateKind::And | GateKind::Or | GateKind::Nand | GateKind::Nor, Want::Scan) => {
+                        let sens = Trit::from(!kind.controlling_value().expect("and/or family"));
+                        let mut best: Option<Solution> = None;
+                        for (j, &fj) in fanins.iter().enumerate() {
+                            let Some(ride) = self.solve(fj, Want::Scan, region, memo) else {
+                                continue;
+                            };
+                            let mut total = Some(ride);
+                            for (k, &fk) in fanins.iter().enumerate() {
+                                if k == j {
+                                    continue;
+                                }
+                                total = match (total, self.solve(fk, Want::of(sens), region, memo))
+                                {
+                                    (Some(t), Some(s)) => Some(t.merge(s)),
+                                    _ => None,
+                                };
+                            }
+                            best = better(best, total);
+                        }
+                        best.map(|mut s| {
+                            if kind.inverts() {
+                                s.inverting = !s.inverting;
+                            }
+                            s.route.push(net);
+                            s
+                        })
+                    }
+                    (GateKind::Xor | GateKind::Xnor, Want::Scan) => {
+                        // The side value picks the polarity: XOR with side 0
+                        // buffers, with side 1 inverts (XNOR is the mirror).
+                        let mut best: Option<Solution> = None;
+                        for (j, &fj) in fanins.iter().enumerate() {
+                            let Some(ride) = self.solve(fj, Want::Scan, region, memo) else {
+                                continue;
+                            };
+                            let fk = fanins[1 - j];
+                            for side in [Trit::Zero, Trit::One] {
+                                let Some(cst) = self.solve(fk, Want::of(side), region, memo) else {
+                                    continue;
+                                };
+                                let mut t = ride.clone().merge(cst);
+                                let flips = (side == Trit::One) ^ (kind == GateKind::Xnor);
+                                if flips {
+                                    t.inverting = !t.inverting;
+                                }
+                                best = better(best, Some(t));
+                            }
+                        }
+                        best.map(|mut s| {
+                            s.route.push(net);
+                            s
+                        })
+                    }
+                    (GateKind::And | GateKind::Or | GateKind::Nand | GateKind::Nor, w) => {
+                        let v = w.value();
+                        let ctrl = Trit::from(kind.controlling_value().expect("and/or family"));
+                        let out_for_ctrl = if kind.inverts() { !ctrl } else { ctrl };
+                        let sol = if v == out_for_ctrl {
+                            // One controlling input suffices: pick cheapest.
+                            let mut best: Option<Solution> = None;
+                            for &f in &fanins {
+                                best = better(best, self.solve(f, Want::of(ctrl), region, memo));
+                            }
+                            best
+                        } else {
+                            // Every input must be sensitizing.
+                            let mut total = Some(Solution {
+                                cost: 0.0,
+                                actions: vec![],
+                                desired: vec![],
+                                route: vec![],
+                                inverting: false,
+                            });
+                            for &f in &fanins {
+                                total = match (total, self.solve(f, Want::of(!ctrl), region, memo))
+                                {
+                                    (Some(t), Some(s)) => Some(t.merge(s)),
+                                    _ => None,
+                                };
+                            }
+                            total
+                        };
+                        sol.map(|mut s| {
+                            s.desired.push((net, v));
+                            s
+                        })
+                    }
+                    (GateKind::Xor | GateKind::Xnor, w) => {
+                        let vwant = w.value();
+                        let mut best: Option<Solution> = None;
+                        for first in [Trit::Zero, Trit::One] {
+                            let second = match kind {
+                                GateKind::Xor => first.xor(vwant),
+                                _ => !first.xor(vwant),
+                            };
+                            let t = match (
+                                self.solve(fanins[0], Want::of(first), region, memo),
+                                self.solve(fanins[1], Want::of(second), region, memo),
+                            ) {
+                                (Some(a), Some(b)) => Some(a.merge(b)),
+                                _ => None,
+                            };
+                            best = better(best, t);
+                        }
+                        best.map(|mut s| {
+                            s.desired.push((net, vwant));
+                            s
+                        })
+                    }
+                    // FLIP-FLOP (Eqs. 2–4 last row), MUX, ports: no recursion.
+                    _ => None,
+                }
+            };
+
+            better(direct, recursive)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1111,8 +1478,25 @@ mod tests {
         verdict
     }
 
-    /// Walks `n`'s flip-flops in order, holding the planner to both
-    /// oracles at every step: commits each plan the checks accept, and
+    /// `p.candidate_plan(ff)`, once the Eq. 2–4 table has been asserted
+    /// to give exactly the reference recursion's solution: the same
+    /// lists in the same order, the same polarity and the same cost
+    /// bits.
+    fn checked_candidate(p: &ScanPlanner, ff: GateId) -> Option<(ScanPlan, Vec<(GateId, Trit)>)> {
+        let d = p.n.fanin(ff)[0];
+        let region = Region::build(&p.n, d);
+        let table = p.cheapest_solution(d, &region);
+        let oracle = p.oracle_solution(d, &region);
+        let bits = |s: &Option<Solution>| s.as_ref().map(|s| s.cost.to_bits());
+        assert_eq!(bits(&table), bits(&oracle), "cost of {}", p.n.gate_name(ff));
+        assert_eq!(table, oracle, "solution of {}", p.n.gate_name(ff));
+        p.candidate_plan(ff)
+    }
+
+    /// Walks `n`'s flip-flops in order, holding the planner to the
+    /// oracles at every step: every candidate plan's Eq. 2–4 solution
+    /// against the reference recursion, and every verdict against a
+    /// netlist clone. Commits each plan the checks accept, and
     /// scans a planless flip-flop conventionally when the mux fits. With
     /// `probe`, every later flip-flop's plan is checked before each
     /// step too. Returns how many verdicts accepted and rejected a plan.
@@ -1130,12 +1514,12 @@ mod tests {
         for (i, &ff) in ffs.iter().enumerate() {
             if probe {
                 for &later in &ffs[i + 1..] {
-                    if let Some((plan, new_pis)) = p.candidate_plan(later) {
+                    if let Some((plan, new_pis)) = checked_candidate(&p, later) {
                         count(checked_verdict(&p, &plan, &new_pis));
                     }
                 }
             }
-            match p.candidate_plan(ff) {
+            match checked_candidate(&p, ff) {
                 Some((plan, new_pis)) if checked_verdict(&p, &plan, &new_pis) => {
                     count(true);
                     p.commit(&plan);

@@ -7,6 +7,13 @@
 //! recursive cost evaluation of Equations 2–4 (no slack updates needed
 //! mid-recursion).
 //!
+//! A region is built locally: one breadth-first pass collects the
+//! target's fanin cone and one Kahn pass over that cone, sinks before
+//! fanins, accumulates the saturated path counts. Apart from zeroing a
+//! gate-sized slot table, nothing outside the cone is visited, so
+//! building one region per planned flip-flop stays cheap on large
+//! netlists.
+//!
 //! The module lives in `tpi-netlist` (it is a purely structural
 //! property) so both the TPTIME planner in `tpi-core` and the
 //! independent placement verifier in `tpi-lint` can use it without a
@@ -14,7 +21,6 @@
 
 use crate::gate::{Conn, GateId};
 use crate::netlist::Netlist;
-use std::collections::{HashMap, VecDeque};
 
 /// The non-reconvergent fanin region of a target net.
 ///
@@ -32,75 +38,81 @@ use std::collections::{HashMap, VecDeque};
 #[derive(Debug, Clone)]
 pub struct Region {
     target: GateId,
-    /// For every gate in the target's fanin cone (and the target): the
-    /// number of distinct paths from its output to the target's output,
-    /// saturated at 2.
-    path_count: HashMap<GateId, u8>,
+    /// Per gate of the netlist: 1 + its index in `cone`, or 0 outside
+    /// the cone.
+    slot: Vec<u32>,
+    /// The target's fanin cone, the target first, in breadth-first
+    /// discovery order.
+    cone: Vec<GateId>,
+    /// Per cone gate: the number of distinct paths from its output to
+    /// the target's output, saturated at 2.
+    path_count: Vec<u8>,
 }
 
 impl Region {
     /// Builds the region for the net driven by `target`.
     ///
-    /// Runs in linear time in the size of the fanin cone: one reverse
-    /// BFS to collect the cone, one forward pass (in reverse-reachability
-    /// order) accumulating saturated path counts.
+    /// Besides one zeroed gate-sized slot table, the work is linear in
+    /// the fanin cone: a breadth-first pass from the target collects
+    /// the cone (stopping at sources) and counts, for every cone gate,
+    /// its fanout entries into expanded cone gates; a Kahn pass from
+    /// the target then pushes each gate's saturated path count into its
+    /// fanins once all of those entries have been seen. No netlist-wide
+    /// order is needed.
+    ///
+    /// # Panics
+    /// Panics if the fanin cone has a combinational cycle.
     pub fn build(n: &Netlist, target: GateId) -> Self {
-        // 1. Fanin cone of the target (combinational traversal only:
-        //    stop at sources).
-        let mut cone: HashMap<GateId, u8> = HashMap::new();
-        let mut queue = VecDeque::new();
-        cone.insert(target, 1);
-        if !n.kind(target).is_source() {
-            queue.push_back(target);
-        }
-        let mut members = vec![target];
-        while let Some(g) = queue.pop_front() {
-            for &f in n.fanin(g) {
-                if let std::collections::hash_map::Entry::Vacant(e) = cone.entry(f) {
-                    e.insert(0);
-                    members.push(f);
-                    if !n.kind(f).is_source() {
-                        queue.push_back(f);
-                    }
-                }
-            }
-        }
-        // 2. Path counts: process gates in an order where a gate comes
-        //    after all cone gates it feeds... i.e. reverse topological
-        //    order restricted to the cone. The BFS discovery order from
-        //    the target happens to visit feeders after their sinks only
-        //    for trees; reconvergence needs a real ordering, so sort by
-        //    the netlist's topological position, descending.
-        let order = n.topo_order().expect("netlist must be acyclic");
-        let mut pos = vec![0usize; n.gate_count()];
-        for (i, &g) in order.iter().enumerate() {
-            pos[g.index()] = i;
-        }
-        members.sort_by_key(|g| std::cmp::Reverse(pos[g.index()]));
-        let mut path_count: HashMap<GateId, u8> = HashMap::new();
-        path_count.insert(target, 1);
-        for &g in &members {
-            if g == target {
+        // 1. The fanin cone (combinational traversal only: stop at
+        //    sources). An expanded gate's fanin entries are exactly the
+        //    in-cone, non-source fanout entries of its fanins, so the
+        //    same pass counts what each gate waits for.
+        let mut slot = vec![0u32; n.gate_count()];
+        let mut cone = vec![target];
+        let mut pending: Vec<u32> = vec![0];
+        slot[target.index()] = 1;
+        let mut next = 0;
+        while let Some(&g) = cone.get(next) {
+            next += 1;
+            if n.kind(g).is_source() {
                 continue;
             }
-            let mut count: u16 = 0;
-            for &(sink, _) in n.fanout(g) {
-                // A flip-flop sink ends the path (Definition 1 counts
-                // combinational paths); counting through it would also
-                // depend on where it sorts.
-                if n.kind(sink).is_source() {
-                    continue;
+            for &f in n.fanin(g) {
+                let s = &mut slot[f.index()];
+                if *s == 0 {
+                    cone.push(f);
+                    pending.push(0);
+                    *s = cone.len() as u32;
                 }
-                if let Some(&c) = path_count.get(&sink) {
-                    count += c as u16;
-                }
-                if count >= 2 {
-                    break;
+                pending[*s as usize - 1] += 1;
+            }
+        }
+        // 2. Path counts, sinks before their fanins: a gate is ready once
+        //    every in-cone sink entry has added its count. A flip-flop
+        //    sink ends the path (Definition 1 counts combinational paths),
+        //    so sources pass nothing on.
+        let mut path_count = vec![0u8; cone.len()];
+        path_count[0] = 1;
+        let mut ready = vec![0usize];
+        let mut popped = 0;
+        while let Some(i) = ready.pop() {
+            popped += 1;
+            let g = cone[i];
+            if n.kind(g).is_source() {
+                continue;
+            }
+            let count = path_count[i];
+            for &f in n.fanin(g) {
+                let j = slot[f.index()] as usize - 1;
+                path_count[j] = (path_count[j] + count).min(2);
+                pending[j] -= 1;
+                if pending[j] == 0 {
+                    ready.push(j);
                 }
             }
-            path_count.insert(g, count.min(2) as u8);
         }
-        Region { target, path_count }
+        assert_eq!(popped, cone.len(), "netlist must be acyclic");
+        Region { target, slot, cone, path_count }
     }
 
     /// The target net this region was built for.
@@ -109,10 +121,28 @@ impl Region {
         self.target
     }
 
+    /// The target's fanin cone, the target first: every gate with a
+    /// combinational path into the target.
+    #[inline]
+    pub fn cone(&self) -> &[GateId] {
+        &self.cone
+    }
+
+    /// `g`'s position in [`Region::cone`], or `None` outside the cone;
+    /// lets callers keep per-region tables indexed by cone position.
+    #[inline]
+    pub fn cone_index(&self, g: GateId) -> Option<usize> {
+        match self.slot.get(g.index()) {
+            Some(&s) if s > 0 => Some(s as usize - 1),
+            _ => None,
+        }
+    }
+
     /// Number of distinct paths from `g`'s output to the target (0, 1,
     /// or 2 meaning "two or more").
+    #[inline]
     pub fn path_count(&self, g: GateId) -> u8 {
-        self.path_count.get(&g).copied().unwrap_or(0)
+        self.cone_index(g).map_or(0, |i| self.path_count[i])
     }
 
     /// True when `g`'s output has exactly one path to the target — the
@@ -132,8 +162,13 @@ impl Region {
     /// All gates with exactly one path to the target (the region's tree
     /// nodes). Sorted for determinism.
     pub fn tree_gates(&self) -> Vec<GateId> {
-        let mut v: Vec<GateId> =
-            self.path_count.iter().filter(|&(_, &c)| c == 1).map(|(&g, _)| g).collect();
+        let mut v: Vec<GateId> = self
+            .cone
+            .iter()
+            .zip(&self.path_count)
+            .filter(|&(_, &c)| c == 1)
+            .map(|(&g, _)| g)
+            .collect();
         v.sort_unstable();
         v
     }

@@ -35,23 +35,26 @@ const MAX_ALLOCS_PER_GATE: f64 = 2.5;
 /// worker, would add a byte per gate for every flip-flop.
 const MAX_ENUMERATION_BYTES_PER_GATE: f64 = 256.0;
 
-/// Bytes a TPTIME run on `dsip` may allocate per gate. It measures 2,840
-/// with the planner's test-mode constants kept incrementally, each plan
-/// checked on a sparse overlay and the s-graph edited in place (5,522
-/// with a fresh s-graph copy per round); cloning the netlist per plan
-/// and re-implying it after every edit measured 25,068.
-const MAX_TPTIME_BYTES_PER_GATE: f64 = 8_000.0;
+/// Bytes a TPTIME run on `dsip` may allocate per gate. It measures 1,178
+/// with cone-local regions (one gate-sized slot table per region) and
+/// Eqs. 2–4 kept as a flat table of costs and choices; building each
+/// region over a whole-netlist topological order and merging cloned
+/// sub-solutions measured 2,841, cloning the netlist per plan and
+/// re-implying it after every edit 25,068.
+const MAX_TPTIME_BYTES_PER_GATE: f64 = 2_000.0;
 
-/// Bytes a CB run on `dsip` may allocate per gate. It measures 716 (798
-/// with `BTreeSet` s-graphs); re-implying the whole netlist after every
-/// scan conversion measured 4,881.
+/// Bytes a CB run on `dsip` may allocate per gate. It measures 685 (716
+/// with a second baseline STA, 798 with `BTreeSet` s-graphs);
+/// re-implying the whole netlist after every scan conversion measured
+/// 4,881.
 const MAX_CB_BYTES_PER_GATE: f64 = 2_000.0;
 
 /// Bytes a TD-CB run on `dsip` may allocate per gate: the selection
-/// loop's bytes per round, over its 56 rounds. It measures 718 with one
-/// remaining s-graph edited in place and one reusable cycle-breaking
-/// work graph; cloning the s-graph and copying every adjacency set into
-/// `BTreeSet`s each round measured 3,400.
+/// loop's bytes per round, over its 56 rounds. It measures 685 with one
+/// remaining s-graph edited in place, one reusable cycle-breaking work
+/// graph and one baseline STA (718 with two); cloning the s-graph and
+/// copying every adjacency set into `BTreeSet`s each round measured
+/// 3,400.
 const MAX_TDCB_BYTES_PER_GATE: f64 = 1_200.0;
 
 /// What a counted region allocated.
@@ -204,7 +207,7 @@ fn partial_scan_bytes_per_gate(method: PartialScanMethod) -> f64 {
 }
 
 #[test]
-fn tptime_allocates_at_most_8000_bytes_per_gate() {
+fn tptime_allocates_at_most_2000_bytes_per_gate() {
     let per_gate = partial_scan_bytes_per_gate(PartialScanMethod::TpTime);
     assert!(per_gate <= MAX_TPTIME_BYTES_PER_GATE, "TPTIME allocated {per_gate:.0} bytes per gate");
 }
