@@ -12,11 +12,10 @@
 //! term, an OR across terms, shared input inverters, and a trailing
 //! inverter for covers written in the off-set (output value `0`).
 
-use crate::builder::NetlistBuilder;
+use crate::builder::{NetlistBuilder, Sym};
 use crate::error::NetlistError;
 use crate::gate::GateKind;
 use crate::netlist::Netlist;
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -88,14 +87,13 @@ impl From<NetlistError> for ParseBlifError {
     }
 }
 
-/// The `.names` cover being read, pre-decomposition. Names borrow the
-/// payload (they own their text only on a line stitched from `\`
-/// continuations), and the cubes share one literal buffer. The parser
-/// keeps one `Cover` and clears it for each `.names`.
+/// The `.names` cover being read, pre-decomposition, its names
+/// interned. The cubes share one literal buffer. The parser keeps one
+/// `Cover` and clears it for each `.names`.
 #[derive(Default)]
-struct Cover<'a> {
-    inputs: Vec<Cow<'a, str>>,
-    output: Cow<'a, str>,
+struct Cover {
+    inputs: Vec<Sym>,
+    output: Sym,
     /// Product terms back to back, `inputs.len()` literals each:
     /// '0' / '1' / '-'.
     lits: Vec<u8>,
@@ -106,7 +104,7 @@ struct Cover<'a> {
     on_set: bool,
 }
 
-impl Cover<'_> {
+impl Cover {
     fn cube(&self, k: usize) -> &[u8] {
         let w = self.inputs.len();
         &self.lits[k * w..(k + 1) * w]
@@ -117,56 +115,122 @@ impl Cover<'_> {
     }
 }
 
-/// The logical lines of a BLIF text with their 1-based starting line
-/// numbers: comments stripped, `\` continuations stitched, blank lines
-/// skipped, each trimmed. A line borrows the text unless continuations
-/// stitched it. A continuation dangling at the end of the text is
-/// dropped.
-struct LogicalLines<'a> {
-    raw: std::iter::Enumerate<std::str::Lines<'a>>,
+/// The logical lines of a BLIF text as tokens: comments cut, `\`
+/// continuations stitched, blank lines skipped. Every token is a slice
+/// of the text, since stitching only ever joins whole tokens.
+///
+/// The scan is byte by byte and splits on `' '`, `'\t'` and `'\r'`,
+/// the only whitespace an ASCII line can hold besides `\x0B` and
+/// `\x0C`. A physical line with a byte outside ASCII, `\x0B` or `\x0C`
+/// before its comment is split by [`str::split_whitespace`] instead,
+/// so tokens follow Unicode whitespace exactly as `str::trim` and
+/// `split_whitespace` do.
+struct Lines<'a> {
+    src: &'a str,
+    /// Byte offset of the next physical line.
+    pos: usize,
+    /// Physical lines read so far.
+    lineno: usize,
 }
 
-impl<'a> Iterator for LogicalLines<'a> {
-    type Item = (usize, Cow<'a, str>);
+/// Where a logical line sits: the 1-based number of its first physical
+/// line and the byte range of its physical lines.
+struct Logical {
+    line: usize,
+    start: usize,
+    end: usize,
+}
 
-    fn next(&mut self) -> Option<Self::Item> {
-        let mut pending: Option<(usize, String)> = None;
+impl<'a> Lines<'a> {
+    /// Reads the tokens of the next logical line into `toks`. `None` at
+    /// the end of the text; a continuation dangling there is dropped.
+    fn next(&mut self, toks: &mut Vec<&'a str>) -> Option<Logical> {
         loop {
-            let (i, raw) = self.raw.next()?;
-            let line = match raw.find('#') {
-                Some(p) => &raw[..p],
-                None => raw,
-            };
-            if let Some(stripped) = line.trim_end().strip_suffix('\\') {
-                let (_, text) = pending.get_or_insert_with(|| (i + 1, String::new()));
+            toks.clear();
+            let (line, start) = (self.lineno + 1, self.pos);
+            while self.physical(toks)? {}
+            if !toks.is_empty() {
+                return Some(Logical { line, start, end: self.pos });
+            }
+        }
+    }
+
+    /// Appends the tokens of the next physical line, up to its comment,
+    /// to `toks`: `Some(true)` when a `\` ended them (it is stripped),
+    /// `None` at the end of the text.
+    fn physical(&mut self, toks: &mut Vec<&'a str>) -> Option<bool> {
+        let (src, bytes) = (self.src, self.src.as_bytes());
+        if self.pos >= bytes.len() {
+            return None;
+        }
+        self.lineno += 1;
+        let (start, first) = (self.pos, toks.len());
+        let mut tok = None;
+        let mut i = start;
+        let mut plain = true;
+        while let Some(&c) = bytes.get(i) {
+            match c {
+                b'\n' | b'#' => break,
+                b' ' | b'\t' | b'\r' => {
+                    if let Some(t) = tok.take() {
+                        toks.push(&src[t..i]);
+                    }
+                }
+                0x0B | 0x0C | 0x80.. => {
+                    plain = false;
+                    break;
+                }
+                _ => {
+                    tok.get_or_insert(i);
+                }
+            }
+            i += 1;
+        }
+        let line_end = match bytes[i..].iter().position(|&c| c == b'\n') {
+            Some(nl) => i + nl,
+            None => bytes.len(),
+        };
+        self.pos = (line_end + 1).min(bytes.len());
+        if plain {
+            if let Some(t) = tok {
+                toks.push(&src[t..i]);
+            }
+        } else {
+            toks.truncate(first);
+            let line = &src[start..line_end];
+            let content = line.find('#').map_or(line, |p| &line[..p]);
+            toks.extend(content.split_whitespace());
+        }
+        if toks.len() > first {
+            if let Some(stripped) = toks[toks.len() - 1].strip_suffix('\\') {
+                toks.pop();
+                if !stripped.is_empty() {
+                    toks.push(stripped);
+                }
+                return Some(true);
+            }
+        }
+        Some(false)
+    }
+}
+
+/// The text of the logical line at `at` as a [`ParseBlifError::Syntax`]
+/// quotes it: comments cut, continuations stitched with a space, and
+/// trimmed.
+#[cold]
+fn logical_text(src: &str, at: &Logical) -> String {
+    let mut text = String::new();
+    for raw in src[at.start..at.end].lines() {
+        let line = raw.find('#').map_or(raw, |p| &raw[..p]);
+        match line.trim_end().strip_suffix('\\') {
+            Some(stripped) => {
                 text.push_str(stripped);
                 text.push(' ');
-                continue;
             }
-            let (lineno, full) = match pending.take() {
-                None => (i + 1, Cow::Borrowed(line.trim())),
-                Some((lineno, mut text)) => {
-                    text.push_str(line);
-                    (lineno, Cow::Owned(text.trim().to_string()))
-                }
-            };
-            if !full.is_empty() {
-                return Some((lineno, full));
-            }
+            None => text.push_str(line),
         }
     }
-}
-
-/// `tok`, a slice of `line`, with the payload's lifetime when `line`
-/// borrows the payload (an owned copy when continuations stitched it).
-fn detach<'a>(line: &Cow<'a, str>, tok: &str) -> Cow<'a, str> {
-    match line {
-        Cow::Borrowed(text) => {
-            let start = tok.as_ptr() as usize - text.as_ptr() as usize;
-            Cow::Borrowed(&text[start..start + tok.len()])
-        }
-        Cow::Owned(_) => Cow::Owned(tok.to_string()),
-    }
+    text.trim().to_string()
 }
 
 /// Parses BLIF text into a validated [`Netlist`].
@@ -176,9 +240,10 @@ fn detach<'a>(line: &Cow<'a, str>, tok: &str) -> Cow<'a, str> {
 /// Latch types/controls/init values are accepted and ignored (the
 /// workspace models an ideal single-clock DFF).
 ///
-/// The parser streams the text: names are slices of `src` until the
-/// builder copies them, and each cover is decomposed as soon as the
-/// next directive closes it.
+/// The parser reads the text once: each token is a slice of `src`,
+/// interned by the builder the first time its name appears, and each
+/// cover is decomposed, by symbol, as soon as the next directive
+/// closes it.
 ///
 /// # Errors
 /// Returns [`ParseBlifError`] on malformed input or structural
@@ -204,25 +269,23 @@ fn detach<'a>(line: &Cow<'a, str>, tok: &str) -> Cow<'a, str> {
 /// # }
 /// ```
 pub fn parse_blif(src: &str) -> Result<Netlist, ParseBlifError> {
-    let mut model = Cow::Borrowed("blif");
-    // Inputs and outputs go straight to the builder (it keeps them in
-    // lists of their own); cover gates do too, as each cover closes.
-    // Flip-flops must precede every cover gate, so latches wait here.
+    let mut model = "blif";
+    // Latches go to the builder's list of their own: flip-flops precede
+    // every cover gate, wherever the `.latch` line sits.
     let mut b = NetlistBuilder::new(String::new());
-    let mut latches: Vec<(Cow<'_, str>, Cow<'_, str>)> = Vec::new();
     let mut cover = Cover::default();
     let mut open = false;
     let mut decomp = Decomposer::default();
+    let mut lines = Lines { src, pos: 0, lineno: 0 };
+    let mut toks = Vec::new();
 
-    for (lineno, text) in (LogicalLines { raw: src.lines().enumerate() }) {
-        let syntax =
-            |text: Cow<'_, str>| ParseBlifError::Syntax { line: lineno, text: text.into_owned() };
-        let mut toks = text.split_whitespace();
+    while let Some(at) = lines.next(&mut toks) {
+        let syntax = || ParseBlifError::Syntax { line: at.line, text: logical_text(src, &at) };
         // Logical lines are non-empty by construction, but keep this a
         // diagnostic rather than a panic: malformed input must never
         // take the caller down.
-        let Some(head) = toks.next() else {
-            return Err(syntax(text));
+        let Some((&head, rest)) = toks.split_first() else {
+            return Err(syntax());
         };
         // Every directive closes the open cover (an unknown one fails
         // below, and then nothing built matters).
@@ -231,31 +294,33 @@ pub fn parse_blif(src: &str) -> Result<Netlist, ParseBlifError> {
         }
         match head {
             ".model" => {
-                if let Some(name) = toks.next() {
-                    model = detach(&text, name);
+                if let Some(&name) = rest.first() {
+                    model = name;
                 }
             }
             ".inputs" => {
-                for name in toks {
+                for name in rest {
                     b.input(name);
                 }
             }
             ".outputs" => {
-                for name in toks {
-                    b.output(name, name);
+                for name in rest {
+                    let s = b.intern(name);
+                    b.output_sym(s, s);
                 }
             }
             ".latch" => {
-                let (Some(d), Some(q)) = (toks.next(), toks.next()) else {
-                    return Err(syntax(text));
+                let [d, q, ..] = rest else {
+                    return Err(syntax());
                 };
-                latches.push((detach(&text, d), detach(&text, q)));
+                let (d, q) = (b.intern(d), b.intern(q));
+                b.latch(q, d);
             }
             ".names" => {
                 cover.inputs.clear();
-                cover.inputs.extend(toks.map(|t| detach(&text, t)));
+                cover.inputs.extend(rest.iter().map(|name| b.intern(name)));
                 let Some(output) = cover.inputs.pop() else {
-                    return Err(ParseBlifError::MissingOutput { line: lineno });
+                    return Err(ParseBlifError::MissingOutput { line: at.line });
                 };
                 cover.output = output;
                 cover.lits.clear();
@@ -266,41 +331,42 @@ pub fn parse_blif(src: &str) -> Result<Netlist, ParseBlifError> {
             // `.end`, and extensions accepted and ignored.
             ".end" | ".exdc" | ".wire_load_slope" | ".default_input_arrival" | ".clock" => {}
             _ if head.starts_with('.') => {
-                return Err(syntax(text));
+                return Err(syntax());
             }
             _ => {
                 // A cover row: `<literals> <output>` or `<output>` for a
                 // zero-input constant. Every token but the last is
                 // literals, possibly split by spaces.
                 if !open {
-                    return Err(syntax(text));
+                    return Err(syntax());
                 }
                 let row = cover.lits.len();
-                let mut out_tok = head;
-                for tok in toks {
-                    cover.lits.extend_from_slice(out_tok.as_bytes());
-                    out_tok = tok;
+                let Some((&out_tok, lit_toks)) = toks.split_last() else {
+                    return Err(syntax());
+                };
+                for tok in lit_toks {
+                    cover.lits.extend_from_slice(tok.as_bytes());
                 }
                 let on = match out_tok {
                     "1" => true,
                     "0" => false,
-                    _ => return Err(syntax(text)),
+                    _ => return Err(syntax()),
                 };
                 let lits = &cover.lits[row..];
                 if lits.len() != cover.inputs.len() {
                     return Err(ParseBlifError::CubeWidth {
-                        line: lineno,
+                        line: at.line,
                         expected: cover.inputs.len(),
                         actual: lits.len(),
                     });
                 }
                 if !lits.iter().all(|b| matches!(b, b'0' | b'1' | b'-')) {
-                    return Err(syntax(text));
+                    return Err(syntax());
                 }
                 if cover.n_cubes == 0 {
                     cover.on_set = on;
                 } else if cover.on_set != on {
-                    return Err(ParseBlifError::MixedCover { line: lineno });
+                    return Err(ParseBlifError::MixedCover { line: at.line });
                 }
                 cover.n_cubes += 1;
             }
@@ -310,7 +376,6 @@ pub fn parse_blif(src: &str) -> Result<Netlist, ParseBlifError> {
         decomp.cover(&mut b, &cover);
     }
 
-    b.dffs_first(latches.iter().map(|(d, q)| (q.as_ref(), d.as_ref())));
     b.set_name(model);
     b.finish().map_err(ParseBlifError::from)
 }
@@ -319,23 +384,23 @@ pub fn parse_blif(src: &str) -> Result<Netlist, ParseBlifError> {
 /// are shared per variable across the whole design and named with a
 /// global counter, so they can never collide with re-parsed gate names.
 #[derive(Default)]
-struct Decomposer<'a> {
+struct Decomposer {
     aux: usize,
-    inverter_of: HashMap<Cow<'a, str>, String>,
+    inverter_of: HashMap<Sym, Sym>,
 }
 
-impl<'a> Decomposer<'a> {
+impl Decomposer {
     /// Emits gates computing one SOP cover, naming the final gate after
     /// the cover's output signal.
-    fn cover(&mut self, b: &mut NetlistBuilder, cover: &Cover<'a>) {
-        let output = cover.output.as_ref();
+    fn cover(&mut self, b: &mut NetlistBuilder, cover: &Cover) {
+        let output = cover.output;
         // Constant covers.
         if cover.inputs.is_empty() || cover.n_cubes == 0 {
             let one = cover.n_cubes != 0 && cover.on_set;
             // `.names f` with a `1` row is constant one; an empty cover
             // (or off-set-only degenerate forms) is constant zero.
             let kind = if one { GateKind::Const1 } else { GateKind::Const0 };
-            b.gate(kind, output, &[]);
+            b.gate_sym(kind, output, &[]);
             return;
         }
         // Single-cube, single-literal covers map directly to BUF / INV
@@ -346,13 +411,13 @@ impl<'a> Decomposer<'a> {
             match (lits.next(), lits.next()) {
                 (None, _) => {
                     let kind = if cover.on_set { GateKind::Const1 } else { GateKind::Const0 };
-                    b.gate(kind, output, &[]);
+                    b.gate_sym(kind, output, &[]);
                     return;
                 }
                 (Some((i, &v)), None) => {
                     let invert = (v == b'0') == cover.on_set;
                     let kind = if invert { GateKind::Inv } else { GateKind::Buf };
-                    b.gate(kind, output, &[&cover.inputs[i]]);
+                    b.gate_sym(kind, output, &[cover.inputs[i]]);
                     return;
                 }
                 _ => {}
@@ -365,42 +430,31 @@ impl<'a> Decomposer<'a> {
         // and a 250k-gate design inflates ~2.4× every time it crosses
         // the wire.
         if let Some(kind) = canonical_kind(cover) {
-            b.gate_from(kind, output, cover.inputs.iter().map(AsRef::as_ref));
+            b.gate_sym(kind, output, &cover.inputs);
             return;
         }
         // One AND (or passthrough) per cube; term names derive from the
         // cover's own output name to stay collision-free across
         // re-parses.
-        let mut terms: Vec<Cow<'_, str>> = Vec::new();
+        let mut terms = Vec::new();
         for (k, cube) in cover.cubes().enumerate() {
-            let mut lits: Vec<Cow<'_, str>> = Vec::new();
-            for (var, &v) in cover.inputs.iter().zip(cube) {
+            let mut lits = Vec::new();
+            for (&var, &v) in cover.inputs.iter().zip(cube) {
                 match v {
-                    b'1' => lits.push(Cow::Borrowed(var)),
-                    b'0' => {
-                        if !self.inverter_of.contains_key(var.as_ref()) {
-                            self.aux += 1;
-                            let name = format!("{var}__not{}", self.aux);
-                            b.gate(GateKind::Inv, &name, &[var]);
-                            self.inverter_of.insert(var.clone(), name);
-                        }
-                        lits.push(Cow::Owned(self.inverter_of[var.as_ref()].clone()));
-                    }
+                    b'1' => lits.push(var),
+                    b'0' => lits.push(self.inverter(b, var)),
                     _ => {}
                 }
             }
-            match lits.len() {
-                0 => {
-                    // An all-don't-care cube makes the cover a tautology.
-                    let name = format!("{output}__t{k}");
-                    b.gate(GateKind::Const1, &name, &[]);
-                    terms.push(Cow::Owned(name));
-                }
-                1 => terms.push(lits.remove(0)),
+            match lits[..] {
+                [lit] => terms.push(lit),
                 _ => {
-                    let name = format!("{output}__t{k}");
-                    b.gate_from(GateKind::And, &name, lits.iter().map(AsRef::as_ref));
-                    terms.push(Cow::Owned(name));
+                    let name = format!("{}__t{k}", b.name_of(output));
+                    let name = b.intern(&name);
+                    // An all-don't-care cube makes the cover a tautology.
+                    let kind = if lits.is_empty() { GateKind::Const1 } else { GateKind::And };
+                    b.gate_sym(kind, name, &lits);
+                    terms.push(name);
                 }
             }
         }
@@ -412,13 +466,26 @@ impl<'a> Decomposer<'a> {
             (_, true) => GateKind::Or,
             (_, false) => GateKind::Nor,
         };
-        b.gate_from(kind, output, terms.iter().map(AsRef::as_ref));
+        b.gate_sym(kind, output, &terms);
+    }
+
+    /// The shared inverter of `var`, declared on first use.
+    fn inverter(&mut self, b: &mut NetlistBuilder, var: Sym) -> Sym {
+        if let Some(&inv) = self.inverter_of.get(&var) {
+            return inv;
+        }
+        self.aux += 1;
+        let name = format!("{}__not{}", b.name_of(var), self.aux);
+        let inv = b.intern(&name);
+        b.gate_sym(GateKind::Inv, inv, &[var]);
+        self.inverter_of.insert(var, inv);
+        inv
     }
 }
 
 /// The primitive gate a cover in one of `write_blif`'s exact shapes
 /// stands for; `None` for any other cover.
-fn canonical_kind(cover: &Cover<'_>) -> Option<GateKind> {
+fn canonical_kind(cover: &Cover) -> Option<GateKind> {
     if !cover.on_set {
         return None;
     }

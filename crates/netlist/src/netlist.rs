@@ -64,50 +64,57 @@ struct Gate {
     fanouts: Vec<(GateId, u32)>,
 }
 
-/// Open-addressing map from gate name to [`GateId`] over the names in
-/// [`Netlist::names`], with linear probing at no more than 50 % load.
+/// Open-addressing map from a name to a `u32` id, over names kept
+/// elsewhere, with linear probing at no more than 50 % load. In a
+/// [`Netlist`] the ids are gate ids and the names sit in
+/// [`Netlist::names`]; `NetlistBuilder` interns names with one before
+/// handing it over.
 ///
 /// Each slot keeps the low 32 bits of its name's hash. They place the
 /// slot and screen every probe, so a probe reads the arena only on a
 /// full 32-bit match, and growth re-places slots without rehashing a
 /// single name.
 ///
-/// The hash is keyed per netlist by [`RandomState`]: names arrive off
+/// The hash is keyed per index by [`RandomState`]: names arrive off
 /// the wire, and with a fixed key a peer could send colliding names
 /// and make a parse quadratic.
-#[derive(Clone)]
-struct NameIndex {
+#[derive(Debug, Clone)]
+pub(crate) struct NameIndex {
     keys: RandomState,
     /// Empty or a power of two long; [`FREE`] ids mark free slots.
     slots: Vec<Slot>,
     len: usize,
 }
 
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     hash: u32,
     id: u32,
 }
 
 /// The id of a free [`Slot`]; no gate gets it.
-const FREE: u32 = u32::MAX;
+pub(crate) const FREE: u32 = u32::MAX;
 
 impl NameIndex {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NameIndex { keys: RandomState::new(), slots: Vec::new(), len: 0 }
     }
 
-    fn hash(&self, name: &str) -> u32 {
+    pub(crate) fn hash(&self, name: &str) -> u32 {
         self.keys.hash_one(name) as u32
     }
 
     /// Makes room for `additional` more names at no more than 50 % load.
-    fn reserve(&mut self, additional: usize) {
+    #[inline]
+    pub(crate) fn reserve(&mut self, additional: usize) {
         let need = (self.len + additional) * 2;
-        if need <= self.slots.len() {
-            return;
+        if need > self.slots.len() {
+            self.place(need.next_power_of_two().max(8));
         }
-        let size = need.next_power_of_two().max(8);
+    }
+
+    /// Re-places every taken slot into a fresh table of `size` slots.
+    fn place(&mut self, size: usize) {
         let old = std::mem::replace(&mut self.slots, vec![Slot { hash: 0, id: FREE }; size]);
         let mask = size - 1;
         for slot in old.into_iter().filter(|s| s.id != FREE) {
@@ -119,9 +126,17 @@ impl NameIndex {
         }
     }
 
-    /// Looks up `name`, whose hash is `hash`: `Ok` with its gate, or
-    /// `Err` with the free slot that ends its probe sequence.
-    fn probe(&self, hash: u32, name: &str, gates: &[Gate], names: &str) -> Result<GateId, usize> {
+    /// Looks up `name`, whose hash is `hash`, where `name_of` gives the
+    /// name stored under an id: `Ok` with its id, or `Err` with the
+    /// free slot that ends its probe sequence. The table must not be
+    /// empty.
+    #[inline]
+    pub(crate) fn probe<'n>(
+        &self,
+        hash: u32,
+        name: &str,
+        name_of: impl Fn(u32) -> &'n str,
+    ) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
         let mut i = hash as usize & mask;
         loop {
@@ -129,35 +144,52 @@ impl NameIndex {
             if slot.id == FREE {
                 return Err(i);
             }
-            if slot.hash == hash && span(names, gates[slot.id as usize].name) == name {
-                return Ok(GateId(slot.id));
+            if slot.hash == hash && name_of(slot.id) == name {
+                return Ok(slot.id);
             }
             i = (i + 1) & mask;
         }
     }
 
-    fn find(&self, name: &str, gates: &[Gate], names: &str) -> Option<GateId> {
+    fn find<'n>(&self, name: &str, name_of: impl Fn(u32) -> &'n str) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
         }
-        self.probe(self.hash(name), name, gates, names).ok()
+        self.probe(self.hash(name), name, name_of).ok()
     }
 
     /// Fills the free slot `i` that [`NameIndex::probe`] returned.
-    fn insert_at(&mut self, i: usize, hash: u32, id: GateId) {
-        self.slots[i] = Slot { hash, id: id.0 };
+    #[inline]
+    pub(crate) fn insert_at(&mut self, i: usize, hash: u32, id: u32) {
+        self.slots[i] = Slot { hash, id };
         self.len += 1;
+    }
+
+    /// Gives every name the id `ids[id]` in place of `id`, and drops
+    /// the names whose new id is [`FREE`]. No name is rehashed.
+    pub(crate) fn renumber(&mut self, ids: &[u32]) {
+        let mut kept = 0;
+        for slot in self.slots.iter_mut().filter(|s| s.id != FREE) {
+            slot.id = ids[slot.id as usize];
+            kept += usize::from(slot.id != FREE);
+        }
+        if kept < self.len {
+            // A dropped slot may sit inside another name's probe
+            // sequence; re-placing the kept ones closes the gaps.
+            self.len = kept;
+            self.place(self.slots.len());
+        }
     }
 }
 
 /// The name stored at `start..end` of a name arena.
 #[inline]
-fn span(names: &str, (start, end): (u32, u32)) -> &str {
+pub(crate) fn span(names: &str, (start, end): (u32, u32)) -> &str {
     &names[start as usize..end as usize]
 }
 
 /// A name-arena offset as stored in a [`Gate`].
-fn offset(at: usize) -> u32 {
+pub(crate) fn offset(at: usize) -> u32 {
     u32::try_from(at).expect("gate names exceed 4 GiB")
 }
 
@@ -214,6 +246,14 @@ impl Netlist {
         }
     }
 
+    /// Bulk build: an empty netlist with room for `gates` gates and no
+    /// name index yet (see [`Netlist::adopt_names`]).
+    pub(crate) fn with_capacity(name: String, gates: usize) -> Self {
+        let mut n = Netlist::new(name);
+        n.gates.reserve_exact(gates);
+        n
+    }
+
     /// The design name.
     #[inline]
     pub fn name(&self) -> &str {
@@ -268,7 +308,10 @@ impl Netlist {
         loop {
             let candidate = &self.names[start..];
             let hash = self.index.hash(candidate);
-            match self.index.probe(hash, candidate, &self.gates, &self.names) {
+            match self
+                .index
+                .probe(hash, candidate, |id| span(&self.names, self.gates[id as usize].name))
+            {
                 Err(slot) => return self.push_gate(kind, start, hash, slot),
                 Ok(_) => {
                     self.names.truncate(base);
@@ -279,27 +322,31 @@ impl Netlist {
         }
     }
 
-    /// Adds a gate named exactly `name`, which must not be empty, or
-    /// returns `None` when the name is taken. One probe both checks and
-    /// inserts.
-    pub(crate) fn add_gate_named(&mut self, kind: GateKind, name: &str) -> Option<GateId> {
-        debug_assert!(!name.is_empty(), "empty names are generated by add_gate");
-        self.index.reserve(1);
-        let hash = self.index.hash(name);
-        let slot = self.index.probe(hash, name, &self.gates, &self.names).err()?;
-        let start = self.names.len();
-        self.names.push_str(name);
-        Some(self.push_gate(kind, start, hash, slot))
+    /// Bulk build: appends a gate whose name is `start..end` of the
+    /// arena that [`Netlist::adopt_names`] installs next, without
+    /// indexing the name.
+    pub(crate) fn push_unindexed(&mut self, kind: GateKind, name: (u32, u32)) -> GateId {
+        assert!(self.gates.len() < FREE as usize, "netlist exceeds {FREE} gates");
+        let id = GateId(self.gates.len() as u32);
+        self.gates.push(Gate { kind, name, fanins: Vec::new(), fanouts: Vec::new() });
+        id
+    }
+
+    /// Bulk build: installs the arena that every gate's name span
+    /// points into, with an index that maps each gate's name to it.
+    /// Runs once, after the last [`Netlist::push_unindexed`].
+    pub(crate) fn adopt_names(&mut self, names: String, index: NameIndex) {
+        debug_assert!(self.names.is_empty() && self.index.len == 0, "adopt_names runs once");
+        debug_assert_eq!(index.len, self.gates.len(), "the index names every gate");
+        self.names = names;
+        self.index = index;
     }
 
     /// Appends a gate named `names[start..]`, which `probe` placed at
     /// the free index slot `slot`.
     fn push_gate(&mut self, kind: GateKind, start: usize, hash: u32, slot: usize) -> GateId {
-        assert!(self.gates.len() < FREE as usize, "netlist exceeds {FREE} gates");
-        let id = GateId(self.gates.len() as u32);
-        self.index.insert_at(slot, hash, id);
-        let name = (offset(start), offset(self.names.len()));
-        self.gates.push(Gate { kind, name, fanins: Vec::new(), fanouts: Vec::new() });
+        let id = self.push_unindexed(kind, (offset(start), offset(self.names.len())));
+        self.index.insert_at(slot, hash, id.0);
         id
     }
 
@@ -311,17 +358,12 @@ impl Netlist {
     }
 
     /// Bulk build: wires every fanout list, at exact capacity, from the
-    /// fanin lists set by [`Netlist::set_fanins`]. Each net lists its
+    /// fanin lists set by [`Netlist::set_fanins`], where `counts[g]`
+    /// is the number of fanin pins gate `g` drives. Each net lists its
     /// sinks in (sink, pin) order, as sequential [`Netlist::connect`]
     /// calls in gate order would have. Every fanout list must be empty.
-    pub(crate) fn wire_fanouts(&mut self) {
-        let mut counts = vec![0u32; self.gates.len()];
-        for gate in &self.gates {
-            for &src in &gate.fanins {
-                counts[src.index()] += 1;
-            }
-        }
-        for (gate, &count) in self.gates.iter_mut().zip(&counts) {
+    pub(crate) fn wire_fanouts(&mut self, counts: &[u32]) {
+        for (gate, &count) in self.gates.iter_mut().zip(counts) {
             debug_assert!(gate.fanouts.is_empty(), "wire_fanouts runs once, on a fresh build");
             gate.fanouts = Vec::with_capacity(count as usize);
         }
@@ -331,6 +373,10 @@ impl Netlist {
                 self.gates[src.index()].fanouts.push((GateId(sink as u32), pin as u32));
             }
         }
+        debug_assert!(
+            self.gates.iter().zip(counts).all(|(g, &c)| g.fanouts.len() == c as usize),
+            "counts match the fanin lists"
+        );
     }
 
     /// Adds a primary input.
@@ -362,24 +408,23 @@ impl Netlist {
         self.check(src)?;
         self.check(sink)?;
         let pin = self.gates[sink.index()].fanins.len();
-        self.check_wiring(src, sink, pin)?;
+        Netlist::check_wiring((src, self.kind(src)), (sink, self.kind(sink)), pin)?;
         self.gates[sink.index()].fanins.push(src);
         self.gates[src.index()].fanouts.push((sink, pin as u32));
         Ok(pin as u32)
     }
 
-    /// [`Netlist::connect`]'s checks, in its order, for wiring existing
-    /// gate `src` into pin `pin` of existing gate `sink`.
+    /// [`Netlist::connect`]'s checks, in its order, for wiring gate
+    /// `src` of kind `src_kind` into pin `pin` of gate `sink` of kind
+    /// `kind`.
     pub(crate) fn check_wiring(
-        &self,
-        src: GateId,
-        sink: GateId,
+        (src, src_kind): (GateId, GateKind),
+        (sink, kind): (GateId, GateKind),
         pin: usize,
     ) -> Result<(), NetlistError> {
-        if self.kind(src) == GateKind::Output {
+        if src_kind == GateKind::Output {
             return Err(NetlistError::NotASource(src));
         }
-        let kind = self.kind(sink);
         if matches!(kind, GateKind::Input | GateKind::Const0 | GateKind::Const1) {
             return Err(NetlistError::NotASink(sink));
         }
@@ -463,7 +508,7 @@ impl Netlist {
 
     /// Looks a gate up by name.
     pub fn find(&self, name: &str) -> Option<GateId> {
-        self.index.find(name, &self.gates, &self.names)
+        self.index.find(name, |id| span(&self.names, self.gates[id as usize].name)).map(GateId)
     }
 
     /// Like [`Netlist::find`] but returns a descriptive error.

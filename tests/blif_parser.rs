@@ -139,6 +139,35 @@ const HAND_CASES: &[(&str, &str)] = &[
     ("no model", ".inputs a\n.outputs y\n.names a y\n0 1\n"),
     ("empty text", ""),
     ("combinational cycle", ".model t\n.inputs a\n.outputs y\n.names a z y\n11 1\n.names y z\n1 1\n"),
+    (
+        "latch output colliding with a cover output",
+        ".model t\n.inputs a\n.outputs y\n.names a y\n1 1\n.latch a y 2\n",
+    ),
+    // Whitespace outside ` `, `\t` and `\r`, where the byte scanner
+    // hands the line to `split_whitespace`.
+    (
+        "no-break spaces as separators",
+        ".model t\n.inputs a\u{a0}b\n.outputs y\n.names a\u{a0}b y\n11\u{a0}1\n",
+    ),
+    (
+        "em spaces as separators",
+        ".model t\n.inputs a b\n.outputs\u{2003}y\u{2003}\n.names a b\u{2003}y\n1-\u{2003}1\n",
+    ),
+    (
+        "next-line characters as separators",
+        ".model t\n.inputs a\u{85}b\n.outputs y\n.names a b y\u{85}\\\n\n11 1\u{85}\n",
+    ),
+    (
+        "vertical tabs and form feeds as separators",
+        ".model t\x0B\n.inputs\x0Ba\x0Cb\n.outputs y\n.names a b y\x0C# cover\n\x0C01 1\x0B\n",
+    ),
+    (
+        "form feed in a continued line's last token",
+        ".model t\n.inputs a b\n.outputs y\n.names a\x0C\\\nb y\n11 1\n",
+    ),
+    ("lone carriage return mid-line", ".model t\n.inputs a\rb\n.outputs y\n.names a b\ry\n1\r1 1\n"),
+    ("UTF-8 signal names", ".model t\n.inputs \u{e9}t\u{e9} b\n.outputs \u{3bb}\n.names \u{e9}t\u{e9} b \u{3bb}\n10 1\n"),
+    ("UTF-8 signal name in an error", ".model t\n.inputs \u{e9}\n.latch \u{e9}\u{a0}# x\n"),
 ];
 
 #[test]
@@ -176,12 +205,17 @@ const MUTATION_BASE: &str = "\
 .end
 ";
 
+/// Whitespace the byte scanner leaves to `split_whitespace`, and a
+/// letter outside ASCII.
+const OTHER_CHARS: [char; 6] = ['\u{a0}', '\u{2003}', '\u{85}', '\x0B', '\x0C', '\u{e9}'];
+
 /// One random edit: delete, duplicate or swap lines or tokens, or
-/// insert a `\`, `#` or `\r` at a random byte.
+/// insert a `\`, `#`, `\r` or one of [`OTHER_CHARS`] at a random
+/// character boundary.
 fn mutate(text: &str, rng: &mut StdRng) -> String {
     let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
     let n = lines.len();
-    match rng.gen_range(0..9u32) {
+    match rng.gen_range(0..10u32) {
         0 if n > 0 => {
             lines.remove(rng.gen_range(0..n));
         }
@@ -208,8 +242,15 @@ fn mutate(text: &str, rng: &mut StdRng) -> String {
         }
         op => {
             let mut joined = lines.join("\n");
-            let at = rng.gen_range(0..=joined.len());
-            joined.insert(at, ['\\', '#', '\r'][op as usize % 3]);
+            let mut at = rng.gen_range(0..=joined.len());
+            while !joined.is_char_boundary(at) {
+                at -= 1;
+            }
+            let c = match op {
+                9 => OTHER_CHARS[rng.gen_range(0..OTHER_CHARS.len())],
+                _ => ['\\', '#', '\r'][op as usize % 3],
+            };
+            joined.insert(at, c);
             return joined;
         }
     }

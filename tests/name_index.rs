@@ -356,3 +356,39 @@ fn bulk_build_wires_and_names_like_sequential_connects() {
     assert_eq!(n.fanout(a), &[(g, 0), (g, 2), (h, 0)], "fanouts in (sink, pin) order");
     assert_eq!(n.fanout(g), &[(q, 0), (i, 0), (h, 1), (port, 0)]);
 }
+
+/// Names for random declarations: short pooled names, names shaped
+/// like the ones `add_gate` and `finish` generate, and the empty name.
+const DECL_NAMES: [&str; 12] =
+    ["a", "b", "c", "g", "q", "", "input_0", "and_2", "and_3_3", "output_4", "a__po", "g__po"];
+
+fn decl_name(rng: &mut StdRng) -> &'static str {
+    DECL_NAMES[rng.gen_range(0..DECL_NAMES.len())]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random declaration lists, clean or not: the bulk build returns
+    /// what the sequential reference returns, netlist or first error.
+    #[test]
+    fn bulk_build_matches_sequential_on_random_declarations(seed in any::<u64>()) {
+        use GateKind::{And, Const1, Dff, Inv, Output as Port};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut decls = Vec::new();
+        for _ in 0..rng.gen_range(1..12usize) {
+            decls.push(match rng.gen_range(0..4u32) {
+                0 => Decl::Input(decl_name(&mut rng)),
+                1 => Decl::Output(decl_name(&mut rng), decl_name(&mut rng)),
+                _ => {
+                    let kind = [And, Inv, Dff, Const1, Port][rng.gen_range(0..5usize)];
+                    let first = rng.gen_range(0..DECL_NAMES.len());
+                    let end = (first + rng.gen_range(0..3usize)).min(DECL_NAMES.len());
+                    Decl::Gate(kind, decl_name(&mut rng), &DECL_NAMES[first..end])
+                }
+            });
+        }
+        // `finish_both` asserts that the two builds agree.
+        let _ = finish_both(&decls);
+    }
+}
