@@ -120,6 +120,12 @@ cargo test -q --release -p tpi-core --test lane_equiv -- --include-ignored
 echo "== BLIF parser equivalence (release, includes the 100k-gate design) =="
 cargo test -q --release --test blif_parser -- --include-ignored
 
+echo "== full-scan identity (release, includes the large circuits) =="
+# The full-scan flow's transformed BLIF, Table I row, every claims field
+# and deterministic metrics on every suite and smoke circuit must keep
+# their pinned digests.
+cargo test -q --release --test full_scan_identity -- --include-ignored
+
 echo "== partial-scan identity (release, includes the large circuits) =="
 # CB, TD-CB and TPTIME outputs on every suite and smoke circuit must keep
 # their pinned digests.

@@ -356,8 +356,8 @@ impl FullScanFlow {
                     ClaimedPath {
                         from: p.from,
                         to: p.to,
-                        gates: p.gates.clone(),
-                        side_inputs: p.side_inputs.clone(),
+                        gates: p.gates.to_vec(),
+                        side_inputs: p.side_inputs.to_vec(),
                         inverting: p.inverting,
                     }
                 })

@@ -208,7 +208,7 @@ fn consistent(
         if p.gates.iter().any(|&g| trial.value(g).is_known()) {
             return false;
         }
-        for c in &p.side_inputs {
+        for c in p.side_inputs {
             let sens = n.kind(c.sink).sensitizing_value().map(Trit::from);
             if Some(trial.value(c.source)) != sens {
                 return false;
@@ -320,7 +320,7 @@ mod tests {
         }
         for &id in &outcome.scan_paths {
             let p = paths.path(id);
-            for c in &p.side_inputs {
+            for c in p.side_inputs {
                 let sens = n.kind(c.sink).sensitizing_value().map(Trit::from).unwrap();
                 assert_eq!(imp.value(c.source), sens);
             }

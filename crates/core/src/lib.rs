@@ -36,7 +36,6 @@
 //!   deterministic per-phase counters;
 //! * [`report`] — result rows shaped like the paper's tables.
 
-mod arena;
 pub mod flow;
 pub mod input_assign;
 pub mod options;
@@ -50,9 +49,7 @@ pub mod tptime;
 pub use flow::{FlowError, FlushFailure, FullScanFlow, PartialScanFlow, PartialScanMethod};
 pub use input_assign::assign_inputs;
 pub use options::FlowOptions;
-pub use paths::{
-    enumerate_paths, enumerate_paths_with, PathId, PathSet, ScanPathCandidate, Threads,
-};
+pub use paths::{enumerate_paths, enumerate_paths_with, PathId, PathSet, ScanPath, Threads};
 pub use progress::{CancelKind, Canceled, CounterSnapshot, Progress};
 pub use report::{Table1Row, Table3Row};
 pub use tpgreed::{GainModel, GainUpdate, TpGreed, TpGreedConfig, TpGreedOutcome};

@@ -4,10 +4,17 @@
 //! of combinational paths from flip-flop `F_i` to flip-flop `F_j`. Since
 //! establishing a scan path through a path with many side inputs is
 //! costly, only paths with at most `K_bound` side inputs are recorded.
+//!
+//! [`PathSet`] is the one store of the enumerated paths: flat arrays
+//! indexed by [`PathId`], plus the two reverse lookups TPGREED's greedy
+//! loop interrogates millions of times per run — *which dense flip-flop
+//! slot is this gate* and *which path pins does this net feed*. Both are
+//! built once, when the per-flip-flop DFS results are merged. The store
+//! is pure data, so sweep workers share it by reference.
 
-use std::collections::HashMap;
 use tpi_netlist::{Conn, GateId, GateKind, Netlist};
 pub use tpi_par::Threads;
+use tpi_sim::Trit;
 
 /// Identifier of a path inside a [`PathSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -21,33 +28,83 @@ impl PathId {
     }
 }
 
-/// One candidate scan path: a combinational path between two flip-flops
-/// together with its side inputs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanPathCandidate {
+/// One candidate scan path, borrowed from its [`PathSet`]: a
+/// combinational path between two flip-flops together with its side
+/// inputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScanPath<'a> {
     /// Source flip-flop (`g_1` in the paper's path `[g_1, ..., g_k]`).
     pub from: GateId,
     /// Destination flip-flop.
     pub to: GateId,
     /// Combinational gates along the path, in order (excluding the FFs).
-    pub gates: Vec<GateId>,
+    pub gates: &'a [GateId],
     /// Side inputs: connections whose sink lies on the path but whose
     /// source does not.
-    pub side_inputs: Vec<Conn>,
+    pub side_inputs: &'a [Conn],
     /// Whether a bit shifted along the path arrives complemented.
     pub inverting: bool,
 }
 
-impl ScanPathCandidate {
+impl ScanPath<'_> {
     /// The paper's `|p_k|`: number of side inputs.
     #[inline]
     pub fn side_input_count(&self) -> usize {
         self.side_inputs.len()
     }
+
+    /// Status of the path under the valuation `value`: `(nullified, w)`
+    /// where `w` counts side inputs still unknown. A constant at the
+    /// source flip-flop or on a path gate blocks shifting, and so does a
+    /// non-sensitizing constant on a side input.
+    pub(crate) fn status(&self, n: &Netlist, value: impl Fn(GateId) -> Trit) -> (bool, u32) {
+        if value(self.from).is_known() || self.gates.iter().any(|&g| value(g).is_known()) {
+            return (true, 0);
+        }
+        let mut w = 0;
+        for c in self.side_inputs {
+            match value(c.source) {
+                Trit::X => w += 1,
+                v if Some(v) == sensitizing(n, c) => {}
+                _ => return (true, 0),
+            }
+        }
+        (false, w)
+    }
 }
 
-/// The sparse path matrix `A` of §III.A plus reverse indices used by the
-/// greedy insertion loop.
+/// The value the sink of side input `c` needs on it to pass the path's
+/// bit (`None` for sinks without one, where any constant blocks).
+fn sensitizing(n: &Netlist, c: &Conn) -> Option<Trit> {
+    n.kind(c.sink).sensitizing_value().map(Trit::from)
+}
+
+/// One entry of the pin-level reverse index: the path and the role the
+/// net plays in it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PathPin {
+    pub path: PathId,
+    pub role: PinRole,
+}
+
+/// The role a net plays in a path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PinRole {
+    /// The net is a gate on the path: any constant nullifies.
+    Through,
+    /// The net is the path's source flip-flop: any constant nullifies.
+    From,
+    /// The net feeds a side pin whose sink sensitizes on this value
+    /// (`None` for non-sensitizable sinks, where any constant
+    /// nullifies).
+    Side(Option<Trit>),
+}
+
+/// Sentinel for "this gate is not a flip-flop" in `PathSet::ff_slot`.
+const NO_FF: u32 = u32::MAX;
+
+/// The sparse path matrix `A` of §III.A, stored flat, plus the reverse
+/// lookups of the greedy insertion loop.
 ///
 /// # Example
 ///
@@ -66,20 +123,35 @@ impl ScanPathCandidate {
 /// n.connect(x, f1)?;
 /// let ps = enumerate_paths(&n, 10, usize::MAX);
 /// assert_eq!(ps.len(), 1);
-/// assert_eq!(ps.path(ps.pair(f1, f2)[0]).side_input_count(), 1);
+/// let p = ps.path(ps.ids().next().unwrap());
+/// assert_eq!((p.from, p.to, p.side_input_count()), (f1, f2, 1));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct PathSet {
-    paths: Vec<ScanPathCandidate>,
-    by_pair: HashMap<(GateId, GateId), Vec<PathId>>,
-    /// side-input source net -> paths listing it as a side input
-    by_side_source: HashMap<GateId, Vec<PathId>>,
-    /// on-path net -> paths running through it
-    by_path_net: HashMap<GateId, Vec<PathId>>,
-    /// source flip-flop -> paths starting there
-    by_from: HashMap<GateId, Vec<PathId>>,
+    /// Per-path endpoints and shift polarity.
+    from: Vec<GateId>,
+    to: Vec<GateId>,
+    inverting: Vec<bool>,
+    /// Per-path on-path gates, CSR: path `p` owns
+    /// `gates[gate_off[p]..gate_off[p + 1]]`.
+    gate_off: Vec<u32>,
+    gates: Vec<GateId>,
+    /// Per-path side inputs, CSR like the gates.
+    side_off: Vec<u32>,
+    sides: Vec<Conn>,
+    /// Gate index -> dense flip-flop slot (`NO_FF` for other gates).
+    ff_slot: Vec<u32>,
+    /// Net index -> *pin-level* reverse index, CSR: every role the net
+    /// plays in any path, one entry per pin, paths ascending and roles in
+    /// From/Through/Side order within a path. Duplicates are kept (a net
+    /// feeding two side pins of one path appears twice, with each pin's
+    /// own sensitizing value), which is what lets a consumer turn "net
+    /// changed to `v`" into an O(1) per-pin status delta instead of
+    /// re-walking the whole path.
+    pin_off: Vec<u32>,
+    pins: Vec<PathPin>,
     /// Number of paths pruned by the safety cap.
     truncated: usize,
 }
@@ -88,13 +160,13 @@ impl PathSet {
     /// Total number of recorded paths.
     #[inline]
     pub fn len(&self) -> usize {
-        self.paths.len()
+        self.from.len()
     }
 
     /// True when no path was recorded.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
+        self.from.is_empty()
     }
 
     /// Number of candidate paths dropped by the safety cap (0 in normal
@@ -106,43 +178,42 @@ impl PathSet {
 
     /// The path record for `id`.
     #[inline]
-    pub fn path(&self, id: PathId) -> &ScanPathCandidate {
-        &self.paths[id.index()]
+    pub fn path(&self, id: PathId) -> ScanPath<'_> {
+        let p = id.index();
+        let (g0, g1) = (self.gate_off[p] as usize, self.gate_off[p + 1] as usize);
+        let (s0, s1) = (self.side_off[p] as usize, self.side_off[p + 1] as usize);
+        ScanPath {
+            from: self.from[p],
+            to: self.to[p],
+            gates: &self.gates[g0..g1],
+            side_inputs: &self.sides[s0..s1],
+            inverting: self.inverting[p],
+        }
     }
 
     /// All path ids, in discovery order.
     pub fn ids(&self) -> impl Iterator<Item = PathId> + '_ {
-        (0..self.paths.len() as u32).map(PathId)
+        (0..self.len() as u32).map(PathId)
     }
 
-    /// Entry `A_ij`: paths from `from` to `to`.
-    pub fn pair(&self, from: GateId, to: GateId) -> &[PathId] {
-        self.by_pair.get(&(from, to)).map(Vec::as_slice).unwrap_or(&[])
+    /// Destination flip-flop of path `id`.
+    #[inline]
+    pub(crate) fn to_gate(&self, id: PathId) -> GateId {
+        self.to[id.index()]
     }
 
-    /// Paths that list the net `src` as a side-input source.
-    pub fn paths_with_side_source(&self, src: GateId) -> &[PathId] {
-        self.by_side_source.get(&src).map(Vec::as_slice).unwrap_or(&[])
+    /// Dense flip-flop slots of path `id`'s source and destination.
+    #[inline]
+    pub(crate) fn slots(&self, id: PathId) -> (usize, usize) {
+        let p = id.index();
+        (self.ff_slot[self.from[p].index()] as usize, self.ff_slot[self.to[p].index()] as usize)
     }
 
-    /// Paths that run through the net `g`.
-    pub fn paths_through(&self, g: GateId) -> &[PathId] {
-        self.by_path_net.get(&g).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// All `(from, to)` pairs with at least one path.
-    pub fn pairs(&self) -> impl Iterator<Item = (GateId, GateId)> + '_ {
-        self.by_pair.keys().copied()
-    }
-
-    /// All `(from, to)` pairs together with their path id lists.
-    pub fn pairs_with_ids(&self) -> impl Iterator<Item = (&(GateId, GateId), &Vec<PathId>)> {
-        self.by_pair.iter()
-    }
-
-    /// Paths originating at flip-flop `ff`.
-    pub fn paths_from(&self, ff: GateId) -> &[PathId] {
-        self.by_from.get(&ff).map(Vec::as_slice).unwrap_or(&[])
+    /// Pin-level reverse index of `net`: every pin of every path the net
+    /// feeds, duplicates preserved. See [`PathPin`].
+    #[inline]
+    pub(crate) fn pins(&self, net: usize) -> &[PathPin] {
+        &self.pins[self.pin_off[net] as usize..self.pin_off[net + 1] as usize]
     }
 }
 
@@ -169,50 +240,72 @@ fn clamp_max_paths(max_paths: usize) -> usize {
     max_paths.min(u32::MAX as usize)
 }
 
+/// Where one path found by a DFS job ends: its destination, polarity,
+/// and the end of its runs in the job's `gates` and `sides`.
+#[derive(Debug, Clone, Copy)]
+struct PathEnd {
+    to: GateId,
+    inverting: bool,
+    gates_end: usize,
+    sides_end: usize,
+}
+
 /// Paths found by the DFS out of a single source flip-flop, in discovery
-/// order. `attempted` counts every completed path, including those beyond
-/// the recording cap, so the merged [`PathSet::truncated`] figure is
-/// exact.
+/// order, as flat runs. `attempted` counts every completed path,
+/// including those beyond the recording cap, so the merged
+/// [`PathSet::truncated`] figure is exact.
 #[derive(Debug, Default)]
 struct FfPaths {
-    found: Vec<ScanPathCandidate>,
+    ends: Vec<PathEnd>,
+    gates: Vec<GateId>,
+    sides: Vec<Conn>,
     attempted: usize,
+}
+
+/// One DFS frame: a gate on the current path.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    cur: GateId,
+    /// Next fanout edge of `cur` to examine.
+    edge: usize,
+    /// Side inputs pushed when this frame was entered.
+    added_sides: usize,
+    /// Whether entering this frame flipped the shift polarity.
+    flipped: bool,
+}
+
+/// A worker's DFS scratch, reused across the flip-flops it explores:
+/// the on-path marker (sized on first use), the current path's gates and
+/// side inputs, and the frame stack. Every DFS leaves all four empty (or
+/// all `false`) again when it ends.
+#[derive(Debug, Clone, Default)]
+struct DfsScratch {
+    on_path: Vec<bool>,
+    gates: Vec<GateId>,
+    sides: Vec<Conn>,
+    stack: Vec<Frame>,
 }
 
 /// Iterative DFS over the fanout cone of one flip-flop.
 ///
 /// This used to be a recursive `explore`; deep combinational chains
 /// (tens of thousands of gates between two flip-flops) overflowed the
-/// stack, so the recursion is now an explicit frame stack. Each frame
+/// stack, so the recursion is an explicit frame stack. Each frame
 /// remembers how to undo its entry mutations (side inputs pushed, parity
 /// flip, on-path mark) when it is popped — the discovery order is
 /// identical to the recursive version's.
-///
-/// `on_path` is the worker's reusable on-path marker, sized here on
-/// first use. Each popped frame clears its own mark, so it is all
-/// `false` again when the DFS ends.
 fn dfs_from(
     n: &Netlist,
     from: GateId,
     k_bound: usize,
     max_paths: usize,
-    on_path: &mut Vec<bool>,
+    sc: &mut DfsScratch,
 ) -> FfPaths {
-    struct Frame {
-        cur: GateId,
-        /// Next fanout edge of `cur` to examine.
-        edge: usize,
-        /// Side inputs pushed when this frame was entered.
-        added_sides: usize,
-        /// Whether entering this frame flipped the shift polarity.
-        flipped: bool,
-    }
+    let DfsScratch { on_path, gates, sides, stack } = sc;
     let mut out = FfPaths::default();
-    let mut gates: Vec<GateId> = Vec::new();
     on_path.resize(n.gate_count(), false);
-    let mut side: Vec<Conn> = Vec::new();
     let mut inverting = false;
-    let mut stack = vec![Frame { cur: from, edge: 0, added_sides: 0, flipped: false }];
+    stack.push(Frame { cur: from, edge: 0, added_sides: 0, flipped: false });
     while let Some(top) = stack.last_mut() {
         let cur = top.cur;
         let fanout = n.fanout(cur);
@@ -227,7 +320,7 @@ fn dfs_from(
                 }
                 on_path[cur.index()] = false;
                 gates.pop();
-                side.truncate(side.len() - added_sides);
+                sides.truncate(sides.len() - added_sides);
             }
             continue;
         }
@@ -237,13 +330,14 @@ fn dfs_from(
         if kind == GateKind::Dff {
             // Direct FF->FF connections are valid (free) paths.
             out.attempted += 1;
-            if out.found.len() < max_paths {
-                out.found.push(ScanPathCandidate {
-                    from,
+            if out.ends.len() < max_paths {
+                out.gates.extend_from_slice(gates);
+                out.sides.extend_from_slice(sides);
+                out.ends.push(PathEnd {
                     to: sink,
-                    gates: gates.clone(),
-                    side_inputs: side.clone(),
                     inverting,
+                    gates_end: out.gates.len(),
+                    sides_end: out.sides.len(),
                 });
             }
             continue;
@@ -252,72 +346,136 @@ fn dfs_from(
             continue;
         }
         // Entering `sink` via `pin`: the other fanins become side
-        // inputs. A "side" whose source lies on the path itself
-        // (or is the source flip-flop) carries the shifting data,
-        // not a constant — such reconvergent paths cannot be
-        // sensitized by test points and are pruned.
-        let mut reconverges = false;
-        let mut new_sides: Vec<Conn> = Vec::new();
+        // inputs. A "side" whose source lies on the path itself (or is
+        // the source flip-flop) carries the shifting data, not a
+        // constant — such reconvergent paths cannot be sensitized by
+        // test points and are pruned, as are paths over the `K_bound`
+        // budget.
+        let before = sides.len();
+        let mut pruned = false;
         for (p, &src) in n.fanin(sink).iter().enumerate() {
             if p == pin as usize {
                 continue;
             }
-            if on_path[src.index()] || src == from {
-                reconverges = true;
+            if on_path[src.index()] || src == from || sides.len() >= k_bound {
+                pruned = true;
                 break;
             }
-            new_sides.push(Conn::new(src, sink, p as u32));
+            sides.push(Conn::new(src, sink, p as u32));
         }
-        if reconverges || side.len() + new_sides.len() > k_bound {
+        if pruned {
+            sides.truncate(before);
             continue;
         }
-        let added = new_sides.len();
-        side.extend(new_sides);
         gates.push(sink);
         on_path[sink.index()] = true;
         let flipped = kind.inverts();
         if flipped {
             inverting = !inverting;
         }
-        stack.push(Frame { cur: sink, edge: 0, added_sides: added, flipped });
+        stack.push(Frame { cur: sink, edge: 0, added_sides: sides.len() - before, flipped });
     }
     out
 }
 
 /// Merges per-flip-flop DFS results into one [`PathSet`], assigning
 /// [`PathId`]s in flip-flop order then discovery order — exactly the
-/// order the sequential single-loop enumeration produces.
-fn merge_ff_paths(jobs: Vec<FfPaths>, max_paths: usize) -> PathSet {
-    let mut set = PathSet {
-        paths: Vec::new(),
-        by_pair: HashMap::new(),
-        by_side_source: HashMap::new(),
-        by_path_net: HashMap::new(),
-        by_from: HashMap::new(),
-        truncated: 0,
+/// order the sequential single-loop enumeration produces — and builds
+/// the flip-flop slot map and the pin-level reverse index.
+fn merge_ff_paths(n: &Netlist, ffs: &[GateId], jobs: Vec<FfPaths>, max_paths: usize) -> PathSet {
+    // Paths each job keeps under the global cap, in flip-flop order.
+    let mut room = max_paths;
+    let mut truncated = 0;
+    let kept: Vec<usize> = jobs
+        .iter()
+        .map(|job| {
+            let k = job.ends.len().min(room);
+            room -= k;
+            truncated += job.attempted - k;
+            k
+        })
+        .collect();
+    let count = max_paths - room;
+    let run_ends = |job: &FfPaths, k: usize| {
+        k.checked_sub(1).map_or((0, 0), |last| (job.ends[last].gates_end, job.ends[last].sides_end))
     };
-    for job in jobs {
-        set.truncated += job.attempted - job.found.len();
-        for cand in job.found {
-            if set.paths.len() >= max_paths {
-                set.truncated += 1;
-                continue;
-            }
-            let id = PathId(set.paths.len() as u32);
-            set.by_pair.entry((cand.from, cand.to)).or_default().push(id);
-            set.by_from.entry(cand.from).or_default().push(id);
-            for c in &cand.side_inputs {
-                let v = set.by_side_source.entry(c.source).or_default();
-                if v.last() != Some(&id) {
-                    v.push(id);
-                }
-            }
-            for &g in &cand.gates {
-                set.by_path_net.entry(g).or_default().push(id);
-            }
-            set.paths.push(cand);
+    let (gate_total, side_total) = jobs.iter().zip(&kept).fold((0, 0), |(g, s), (job, &k)| {
+        let (ge, se) = run_ends(job, k);
+        (g + ge, s + se)
+    });
+    // Every `u32` offset below, into the path runs or the pin index, is
+    // at most the number of pins, one per endpoint, gate and side input.
+    assert!(
+        count + gate_total + side_total <= u32::MAX as usize,
+        "the recorded paths overflow the store's u32 offsets"
+    );
+    let mut set = PathSet {
+        from: Vec::with_capacity(count),
+        to: Vec::with_capacity(count),
+        inverting: Vec::with_capacity(count),
+        gate_off: Vec::with_capacity(count + 1),
+        gates: Vec::with_capacity(gate_total),
+        side_off: Vec::with_capacity(count + 1),
+        sides: Vec::with_capacity(side_total),
+        ff_slot: vec![NO_FF; n.gate_count()],
+        pin_off: Vec::new(),
+        pins: Vec::new(),
+        truncated,
+    };
+    set.gate_off.push(0);
+    set.side_off.push(0);
+    for ((job, k), &ff) in jobs.into_iter().zip(kept).zip(ffs) {
+        let (ge, se) = run_ends(&job, k);
+        let (gate_base, side_base) = (set.gates.len(), set.sides.len());
+        set.gates.extend_from_slice(&job.gates[..ge]);
+        set.sides.extend_from_slice(&job.sides[..se]);
+        for end in &job.ends[..k] {
+            set.from.push(ff);
+            set.to.push(end.to);
+            set.inverting.push(end.inverting);
+            set.gate_off.push((gate_base + end.gates_end) as u32);
+            set.side_off.push((side_base + end.sides_end) as u32);
         }
     }
+    for (slot, ff) in ffs.iter().enumerate() {
+        set.ff_slot[ff.index()] = slot as u32;
+    }
+    // Pin-level reverse CSR: two-pass count + fill, paths ascending,
+    // roles in From/Through/Side order within each path.
+    let gate_count = n.gate_count();
+    let mut pin_off = vec![0u32; gate_count + 1];
+    for id in set.ids() {
+        let p = set.path(id);
+        pin_off[p.from.index() + 1] += 1;
+        for g in p.gates {
+            pin_off[g.index() + 1] += 1;
+        }
+        for c in p.side_inputs {
+            pin_off[c.source.index() + 1] += 1;
+        }
+    }
+    for i in 0..gate_count {
+        pin_off[i + 1] += pin_off[i];
+    }
+    let mut cursor = pin_off[..gate_count].to_vec();
+    let dummy = PathPin { path: PathId(0), role: PinRole::From };
+    let mut pins = vec![dummy; pin_off[gate_count] as usize];
+    for id in set.ids() {
+        let p = set.path(id);
+        let mut place = |net: GateId, role: PinRole| {
+            pins[cursor[net.index()] as usize] = PathPin { path: id, role };
+            cursor[net.index()] += 1;
+        };
+        place(p.from, PinRole::From);
+        for &g in p.gates {
+            place(g, PinRole::Through);
+        }
+        for c in p.side_inputs {
+            place(c.source, PinRole::Side(sensitizing(n, c)));
+        }
+    }
+    set.pin_off = pin_off;
+    set.pins = pins;
     set
 }
 
@@ -346,16 +504,23 @@ pub fn enumerate_paths_with(
 ) -> PathSet {
     let max_paths = clamp_max_paths(max_paths);
     let ffs = n.dffs();
-    let jobs = tpi_par::map_indexed(threads, ffs.len(), &Vec::new(), |on_path, i| {
-        dfs_from(n, ffs[i], k_bound, max_paths, on_path)
+    let jobs = tpi_par::map_indexed(threads, ffs.len(), &DfsScratch::default(), |sc, i| {
+        dfs_from(n, ffs[i], k_bound, max_paths, sc)
     });
-    merge_ff_paths(jobs, max_paths)
+    merge_ff_paths(n, &ffs, jobs, max_paths)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpi_netlist::{GateKind, Netlist};
+    use tpi_netlist::{GateKind, Netlist, NetlistBuilder};
+    use tpi_sim::Implication;
+    use tpi_workloads::{generate, smoke_suite, suite, CircuitSpec, StructureClass};
+
+    /// Entry `A_ij`: the ids of the paths from `from` to `to`.
+    fn pair(ps: &PathSet, from: GateId, to: GateId) -> Vec<PathId> {
+        ps.ids().filter(|&id| (ps.path(id).from, ps.path(id).to) == (from, to)).collect()
+    }
 
     /// f1 -> AND(x) -> NAND(y) -> f2
     fn two_gate_path() -> (Netlist, GateId, GateId) {
@@ -380,7 +545,7 @@ mod tests {
         let (n, f1, f2) = two_gate_path();
         let ps = enumerate_paths(&n, 10, usize::MAX);
         assert_eq!(ps.len(), 1);
-        let p = ps.path(ps.pair(f1, f2)[0]);
+        let p = ps.path(pair(&ps, f1, f2)[0]);
         assert_eq!(p.side_input_count(), 2);
         assert_eq!(p.gates.len(), 2);
         assert!(p.inverting, "one NAND on the path flips polarity");
@@ -390,9 +555,9 @@ mod tests {
     fn k_bound_prunes_expensive_paths() {
         let (n, f1, f2) = two_gate_path();
         let ps = enumerate_paths(&n, 1, usize::MAX);
-        assert!(ps.pair(f1, f2).is_empty());
+        assert!(pair(&ps, f1, f2).is_empty());
         let ps = enumerate_paths(&n, 2, usize::MAX);
-        assert_eq!(ps.pair(f1, f2).len(), 1);
+        assert_eq!(pair(&ps, f1, f2).len(), 1);
     }
 
     #[test]
@@ -405,7 +570,7 @@ mod tests {
         n.connect(d, f1).unwrap();
         let ps = enumerate_paths(&n, 0, usize::MAX);
         assert_eq!(ps.len(), 1);
-        let p = ps.path(ps.pair(f1, f2)[0]);
+        let p = ps.path(pair(&ps, f1, f2)[0]);
         assert_eq!(p.side_input_count(), 0);
         assert!(p.gates.is_empty());
         assert!(!p.inverting);
@@ -428,8 +593,8 @@ mod tests {
         let d = n.add_input("d");
         n.connect(d, f1).unwrap();
         let ps = enumerate_paths(&n, 10, usize::MAX);
-        assert_eq!(ps.pair(f1, f2).len(), 2);
-        for &id in ps.pair(f1, f2) {
+        assert_eq!(pair(&ps, f1, f2).len(), 2);
+        for id in pair(&ps, f1, f2) {
             let p = ps.path(id);
             assert_eq!(p.side_input_count(), 1, "the other OR branch is the side input");
             assert!(p.inverting);
@@ -448,7 +613,7 @@ mod tests {
         n.connect(x, f2).unwrap();
         n.connect(a, f1).unwrap();
         let ps = enumerate_paths(&n, 10, usize::MAX);
-        assert!(ps.pair(f1, f2).is_empty(), "XOR is not rideable");
+        assert!(pair(&ps, f1, f2).is_empty(), "XOR is not rideable");
     }
 
     #[test]
@@ -457,20 +622,6 @@ mod tests {
         let ps = enumerate_paths(&n, 10, 0);
         assert_eq!(ps.len(), 0);
         assert!(ps.truncated() > 0);
-    }
-
-    #[test]
-    fn reverse_indices_are_consistent() {
-        let (n, f1, f2) = two_gate_path();
-        let ps = enumerate_paths(&n, 10, usize::MAX);
-        let id = ps.pair(f1, f2)[0];
-        let p = ps.path(id);
-        for c in &p.side_inputs {
-            assert!(ps.paths_with_side_source(c.source).contains(&id));
-        }
-        for &g in &p.gates {
-            assert!(ps.paths_through(g).contains(&id));
-        }
     }
 
     #[test]
@@ -495,7 +646,7 @@ mod tests {
         // constant even though i1 is functionally driven by f1.
         for id in ps.ids() {
             let p = ps.path(id);
-            for c in &p.side_inputs {
+            for c in p.side_inputs {
                 assert!(!p.gates.contains(&c.source));
                 assert_ne!(c.source, p.from);
             }
@@ -537,6 +688,7 @@ mod tests {
         }
         for cap in [usize::MAX, 40, 7, 0] {
             let seq = enumerate_paths(&n, 10, cap);
+            assert_store_matches_brute_force(&n, &seq);
             for workers in [2, 4] {
                 let par = enumerate_paths_with(&n, 10, cap, Threads::new(workers));
                 assert_eq!(seq.len(), par.len(), "cap {cap} workers {workers}");
@@ -558,6 +710,118 @@ mod tests {
         let ps = enumerate_paths(&n, 10, usize::MAX);
         // a self path F1 -> F1 exists but is useless for chains; callers
         // filter by pair. It must still be recorded faithfully.
-        assert_eq!(ps.pair(f1, f1).len(), 1);
+        assert_eq!(pair(&ps, f1, f1).len(), 1);
+    }
+
+    /// The Figure 1 skeleton: F1 -OR(x)-> F2 -AND(F4)-> F3.
+    fn sample() -> Netlist {
+        let mut b = NetlistBuilder::new("sample");
+        b.input("x");
+        b.input("d1");
+        b.input("d4");
+        b.dff("f1", "d1");
+        b.dff("f4", "d4");
+        b.gate(GateKind::Or, "g1", &["f1", "x"]);
+        b.dff("f2", "g1");
+        b.gate(GateKind::And, "g2", &["f2", "f4"]);
+        b.dff("f3", "g2");
+        b.output("o", "f3");
+        b.finish().unwrap()
+    }
+
+    /// Rebuilds, by brute force over every path, what the store derives
+    /// at merge time — the pin index with its roles and sensitizing
+    /// values, the flip-flop slots and each path's endpoint slots — and
+    /// checks each path against the netlist: a connected route from a
+    /// flip-flop to a flip-flop through rideable gates, whose side inputs
+    /// are exactly the route gates' other pins, whose polarity is the
+    /// parity of its inverting gates, and within the side-input budget.
+    fn assert_store_matches_brute_force(n: &Netlist, ps: &PathSet) {
+        let ffs = n.dffs();
+        let slot_of = |g: GateId| ffs.iter().position(|&f| f == g);
+        for g in n.gate_ids() {
+            let slot = Some(ps.ff_slot[g.index()]).filter(|&s| s != NO_FF);
+            assert_eq!(slot.map(|s| s as usize), slot_of(g), "{}: slot of {g}", n.name());
+        }
+        let mut pins: Vec<Vec<PathPin>> = vec![Vec::new(); n.gate_count()];
+        for id in ps.ids() {
+            let p = ps.path(id);
+            let at = format!("{}: path {}", n.name(), id.index());
+            let (from, to) = (slot_of(p.from).expect(&at), slot_of(p.to).expect(&at));
+            assert_eq!(ps.slots(id), (from, to), "{at}");
+            assert_eq!(ps.to_gate(id), p.to, "{at}");
+            let mut prev = p.from;
+            let mut sides = Vec::new();
+            let mut inverting = false;
+            for &g in p.gates {
+                assert!(rideable(n.kind(g)), "{at}");
+                let fanin = n.fanin(g);
+                let pin = fanin.iter().position(|&s| s == prev).expect(&at);
+                sides.extend(
+                    (0..fanin.len())
+                        .filter(|&q| q != pin)
+                        .map(|q| Conn::new(fanin[q], g, q as u32)),
+                );
+                inverting ^= n.kind(g).inverts();
+                prev = g;
+            }
+            assert!(n.fanin(p.to).contains(&prev), "{at}");
+            assert_eq!(p.side_inputs, &sides[..], "{at}");
+            assert_eq!(p.inverting, inverting, "{at}");
+            assert!(p.side_input_count() <= 10, "{at}");
+            pins[p.from.index()].push(PathPin { path: id, role: PinRole::From });
+            for &g in p.gates {
+                pins[g.index()].push(PathPin { path: id, role: PinRole::Through });
+            }
+            for c in p.side_inputs {
+                let sens = n.kind(c.sink).sensitizing_value().map(Trit::from);
+                pins[c.source.index()].push(PathPin { path: id, role: PinRole::Side(sens) });
+            }
+        }
+        for g in n.gate_ids() {
+            assert_eq!(ps.pins(g.index()), &pins[g.index()][..], "{}: pins of {g}", n.name());
+        }
+    }
+
+    #[test]
+    fn store_matches_a_brute_force_rebuild() {
+        let mut circuits = vec![sample()];
+        let defaults = ["dsip", "s5378", "s9234", "bigkey", "mult32b", "mult32a"];
+        let specs = suite().into_iter().filter(|s| defaults.contains(&s.name.as_str()));
+        circuits.extend(specs.chain(smoke_suite()).map(|s| generate(&s)));
+        circuits.extend((1..=4).map(|seed| {
+            generate(&CircuitSpec {
+                name: format!("seeded{seed}"),
+                inputs: 6,
+                outputs: 3,
+                ffs: 20,
+                target_gates: 120,
+                structure: StructureClass::mixed(0.6, 4, 3, 1),
+                seed,
+            })
+        }));
+        assert_eq!(circuits.len(), 1 + defaults.len() + smoke_suite().len() + 4);
+        for n in &circuits {
+            let ps = enumerate_paths(n, 10, usize::MAX);
+            assert_store_matches_brute_force(n, &ps);
+        }
+    }
+
+    #[test]
+    fn path_status_tracks_implication() {
+        let n = sample();
+        let paths = enumerate_paths(&n, 10, usize::MAX);
+        let mut imp = Implication::new(&n);
+        // Initially every side input is unknown.
+        for id in paths.ids() {
+            let p = paths.path(id);
+            assert_eq!(p.status(&n, |g| imp.value(g)), (false, p.side_input_count() as u32));
+        }
+        // x = 0 sensitizes the OR side input of f1 -> f2.
+        let x = n.find("x").unwrap();
+        imp.force(x, Trit::Zero);
+        let (f1, f2) = (n.find("f1").unwrap(), n.find("f2").unwrap());
+        let p = paths.path(pair(&paths, f1, f2)[0]);
+        assert_eq!(p.status(&n, |g| imp.value(g)), (false, 0));
     }
 }

@@ -28,8 +28,7 @@
 //! scalar `preview_force` and a walk over every path — survives only as
 //! the test oracle that the sweep's gains must match bit for bit.
 
-use crate::arena::{PinRole, SweepArena};
-use crate::paths::{enumerate_paths, PathId, PathSet};
+use crate::paths::{enumerate_paths, PathId, PathSet, PinRole};
 use crate::progress::{Canceled, Progress};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -230,9 +229,6 @@ pub struct TpGreed<'a> {
     imp: Implication<'a>,
     /// Word-parallel twin of `imp`, kept in lock-step after every commit.
     lanes: LaneEngine,
-    /// Dense per-run snapshot of the path set's reverse indices, the
-    /// per-path side-input/sensitizing data, and the FF numbering.
-    arena: SweepArena,
     state: Vec<PathState>,
     out_taken: Vec<bool>,
     in_taken: Vec<bool>,
@@ -243,11 +239,6 @@ pub struct TpGreed<'a> {
     protected: Vec<Trit>,
     /// Nets lying on an established path (must stay unknown).
     established_net: Vec<bool>,
-    /// Committed trit per net — a dense snapshot of `imp`'s values,
-    /// refreshed from each commit delta. The lane scorer classifies every
-    /// union change as an O(1) transition `committed class -> trial
-    /// class` instead of re-walking path status.
-    committed: Vec<Trit>,
     /// Per-gate destination weight under the configured [`GainModel`]:
     /// all 1.0 for [`GainModel::PathCount`] (reproducing Equation 1
     /// bit for bit), SCOAP-derived for [`GainModel::Scoap`]. Computed
@@ -419,29 +410,15 @@ impl<'a> TpGreed<'a> {
     pub fn with_paths(n: &'a Netlist, cfg: TpGreedConfig, paths: PathSet) -> Self {
         let imp = Implication::new(n);
         let lanes = LaneEngine::mirror(&imp);
-        let arena = SweepArena::build(n, &paths);
         let ffs = n.dffs();
-        let mut state = Vec::with_capacity(paths.len());
-        for id in paths.ids() {
-            let p = paths.path(id);
-            let mut alive = true;
-            let mut w = 0u32;
-            for c in &p.side_inputs {
-                let sens = sensitizing_for(n.kind(c.sink));
-                match imp.value(c.source) {
-                    Trit::X => w += 1,
-                    v if Some(v) == sens => {}
-                    _ => alive = false, // controlling constant at init
-                }
-            }
-            // A constant on a path gate nullifies too.
-            if p.gates.iter().any(|&g| imp.value(g).is_known()) {
-                alive = false;
-            }
-            state.push(PathState { alive, established: false, w });
-        }
+        let state = paths
+            .ids()
+            .map(|id| {
+                let (nullified, w) = paths.path(id).status(n, |g| imp.value(g));
+                PathState { alive: !nullified, established: false, w }
+            })
+            .collect();
         let candidate_count = n.gate_count() * 2;
-        let committed = (0..n.gate_count()).map(|i| imp.value(GateId::from_index(i))).collect();
         let cone_order = imp.view().cone_order();
         let dest_weight = match cfg.gain_model {
             GainModel::PathCount => vec![1.0; n.gate_count()],
@@ -457,14 +434,12 @@ impl<'a> TpGreed<'a> {
             cfg,
             imp,
             lanes,
-            arena,
             state,
             out_taken: vec![false; ffs.len()],
             in_taken: vec![false; ffs.len()],
             frags: Fragments::new(ffs.len()),
             protected: vec![Trit::X; n.gate_count()],
             established_net: vec![false; n.gate_count()],
-            committed,
             dest_weight,
             test_points: Vec::new(),
             established: Vec::new(),
@@ -665,14 +640,14 @@ impl<'a> TpGreed<'a> {
         };
         let ctx = EvalCtx {
             n: self.n,
-            arena: &self.arena,
+            paths: &self.paths,
             state: &self.state,
             out_taken: &self.out_taken,
             in_taken: &self.in_taken,
             ff_roots: &ff_roots,
             protected: &self.protected,
             established_net: &self.established_net,
-            committed: &self.committed,
+            values: self.imp.values(),
             dest_weight: &self.dest_weight,
         };
         // Classify: trivial candidates are answered in place, the rest
@@ -778,19 +753,14 @@ impl<'a> TpGreed<'a> {
     }
 
     fn pair_usable(&mut self, id: PathId) -> bool {
-        let (Some(i), Some(j)) = (
-            self.arena.ff_slot(self.arena.source_gate(id)),
-            self.arena.ff_slot(self.arena.to_gate(id)),
-        ) else {
-            return false;
-        };
+        let (i, j) = self.paths.slots(id);
         !self.out_taken[i] && !self.in_taken[j] && self.frags.find(i) != self.frags.find(j)
     }
 
     /// Current status of a path under `self.imp`: (nullified, w). Used on
     /// the committed state; the preview-time twin lives on [`EvalCtx`].
     fn path_status(&self, id: PathId) -> (bool, u32) {
-        self.arena.path_status(id, &|g| self.imp.value(g))
+        self.paths.path(id).status(self.n, |g| self.imp.value(g))
     }
 
     /// Commits the candidate: forces the constant, prunes nullified
@@ -816,25 +786,22 @@ impl<'a> TpGreed<'a> {
         // garbage but are skipped below.
         self.scratch.begin_batch();
         for a in &delta {
-            self.committed[a.net.index()] = a.value;
-            if self.arena.path_relevant(a.net) {
-                for pin in self.arena.pins(a.net.index()) {
-                    let acc = self.scratch.acc_for(pin.path.0);
-                    match pin.role {
-                        PinRole::Through | PinRole::From => {
-                            if a.value != Trit::X {
-                                acc.null |= 1;
-                            }
+            for pin in self.paths.pins(a.net.index()) {
+                let acc = self.scratch.acc_for(pin.path.0);
+                match pin.role {
+                    PinRole::Through | PinRole::From => {
+                        if a.value != Trit::X {
+                            acc.null |= 1;
                         }
-                        PinRole::Side(sens) => {
-                            if a.value == Trit::X {
-                                // Sensitizing value receded: pin is free again.
-                                acc.dw[0] += 1;
-                            } else if sens == Some(a.value) {
-                                acc.dw[0] -= 1;
-                            } else {
-                                acc.null |= 1;
-                            }
+                    }
+                    PinRole::Side(sens) => {
+                        if a.value == Trit::X {
+                            // Sensitizing value receded: pin is free again.
+                            acc.dw[0] += 1;
+                        } else if sens == Some(a.value) {
+                            acc.dw[0] -= 1;
+                        } else {
+                            acc.null |= 1;
                         }
                     }
                 }
@@ -945,44 +912,41 @@ impl<'a> TpGreed<'a> {
     fn establish(&mut self, id: PathId) {
         self.state[id.index()].established = true;
         self.established.push(id);
-        let p = self.paths.path(id).clone();
-        let i = self.arena.ff_slot(p.from).expect("path endpoints are FFs");
-        let j = self.arena.ff_slot(p.to).expect("path endpoints are FFs");
+        let (i, j) = self.paths.slots(id);
         // Degree and acyclicity bookkeeping (the A_i* / A_*j / cycle
         // removals of §III.A).
         self.out_taken[i] = true;
         self.in_taken[j] = true;
         // Paths whose usability may flip get their watchers dirtied
-        // (conservative superset; `pair_usable` is authoritative).
-        let root_a = self.frags.find(i);
-        let root_b = self.frags.find(j);
-        let mut flipped: Vec<PathId> = Vec::new();
-        {
-            let frags = &mut self.frags;
-            let arena = &self.arena;
-            for (&(from, to), ids) in self.paths.pairs_with_ids() {
-                let fi = arena.ff_slot(from).expect("path endpoints are FFs");
-                let fj = arena.ff_slot(to).expect("path endpoints are FFs");
-                let (ra, rb) = (frags.find(fi), frags.find(fj));
-                let crosses = (ra == root_a && rb == root_b) || (ra == root_b && rb == root_a);
-                if fi == i || fj == j || crosses {
-                    flipped.extend(ids.iter().copied());
-                }
+        // (conservative superset; `pair_usable` is authoritative): those
+        // leaving `i`, those entering `j`, and those between the two
+        // fragments being joined. Each slot's root is resolved once.
+        let roots: Vec<usize> = (0..self.frags.parent.len()).map(|s| self.frags.find(s)).collect();
+        let (root_a, root_b) = (roots[i], roots[j]);
+        for q in self.paths.ids() {
+            let (fi, fj) = self.paths.slots(q);
+            let (ra, rb) = (roots[fi], roots[fj]);
+            let crosses = (ra == root_a && rb == root_b) || (ra == root_b && rb == root_a);
+            if fi == i || fj == j || crosses {
+                mark_entry_watchers(
+                    &mut self.dirty,
+                    &self.watch_epoch,
+                    &self.watch_groups,
+                    &mut self.path_watchers[q.index()],
+                );
             }
         }
         self.frags.union(i, j);
-        for f in flipped {
-            self.mark_path_dirty(f);
-        }
         // Protect the sensitized side inputs; pin the path nets and the
         // source FF's output as must-stay-unknown.
-        for c in &p.side_inputs {
+        let p = self.paths.path(id);
+        for c in p.side_inputs {
             let v = self.imp.value(c.source);
             debug_assert!(v.is_known());
             self.protected[c.source.index()] = v;
         }
         self.established_net[p.from.index()] = true;
-        for &g in &p.gates {
+        for &g in p.gates {
             self.established_net[g.index()] = true;
         }
     }
@@ -1122,7 +1086,7 @@ fn push_entry_watcher(
 /// only mutable piece and each worker owns a clone.
 struct EvalCtx<'s, 'a> {
     n: &'a Netlist,
-    arena: &'s SweepArena,
+    paths: &'s PathSet,
     state: &'s [PathState],
     out_taken: &'s [bool],
     in_taken: &'s [bool],
@@ -1133,9 +1097,9 @@ struct EvalCtx<'s, 'a> {
     /// Dense by gate index; `X` = unprotected.
     protected: &'s [Trit],
     established_net: &'s [bool],
-    /// Committed trit per net (see [`TpGreed::committed`]); the
-    /// baseline for the scorer's O(1) pin class transitions.
-    committed: &'s [Trit],
+    /// Committed trit per net (`imp`'s values); the baseline for the
+    /// scorer's O(1) pin class transitions.
+    values: &'s [Trit],
     /// Per-gate destination weight (see [`TpGreed::dest_weight`]).
     dest_weight: &'s [f64],
 }
@@ -1176,7 +1140,7 @@ impl EvalCtx<'_, '_> {
     /// change lists and walking `path_status` per `(path, lane)` pair,
     /// the batch's union change record is processed once. Each union net
     /// contributes validity masks (bitwise, against the protection
-    /// planes) and, through the arena's pin index, O(1) class transitions
+    /// planes) and, through the path store's pin index, O(1) class transitions
     /// per listed path pin — `committed class -> trial class` decides
     /// nullification and the side-weight delta `dw` for every changed
     /// lane at once. A path's status under lane L is then `st.w + dw[L]`
@@ -1217,12 +1181,13 @@ impl EvalCtx<'_, '_> {
                     invalid |= ch & !ok;
                 }
             }
-            if !self.arena.path_relevant(GateId::from_index(i)) {
+            let pins = self.paths.pins(i);
+            if pins.is_empty() {
                 continue; // no path lists this net anywhere
             }
             let (vw, kw) = eng.planes(i);
-            let old = self.committed[i];
-            for pin in self.arena.pins(i) {
+            let old = self.values[i];
+            for pin in pins {
                 let acc = sc.acc_for(pin.path.0);
                 acc.touched |= ch;
                 match pin.role {
@@ -1291,7 +1256,7 @@ impl EvalCtx<'_, '_> {
             if register && m != 0 {
                 reg_paths.push((acc.path, m));
             }
-            let di = self.arena.to_gate(PathId(acc.path)).index() as u32;
+            let di = self.paths.to_gate(PathId(acc.path)).index() as u32;
             let mut m = m;
             while m != 0 {
                 let lane = m.trailing_zeros() as usize;
@@ -1361,12 +1326,7 @@ impl EvalCtx<'_, '_> {
     /// Pairwise usability of a path's endpoints (chain degree and
     /// acyclicity), against the snapshotted union-find roots.
     fn pair_usable(&self, id: PathId) -> bool {
-        let (Some(i), Some(j)) = (
-            self.arena.ff_slot(self.arena.source_gate(id)),
-            self.arena.ff_slot(self.arena.to_gate(id)),
-        ) else {
-            return false;
-        };
+        let (i, j) = self.paths.slots(id);
         !self.out_taken[i] && !self.in_taken[j] && self.ff_roots[i] != self.ff_roots[j]
     }
 
@@ -1380,10 +1340,6 @@ impl EvalCtx<'_, '_> {
         }
         true
     }
-}
-
-fn sensitizing_for(kind: GateKind) -> Option<Trit> {
-    kind.sensitizing_value().map(Trit::from)
 }
 
 #[inline]
@@ -1438,7 +1394,7 @@ pub fn verify_outcome(
     let mut edges = Vec::new();
     for &id in &outcome.scan_paths {
         let p = paths.path(id);
-        for c in &p.side_inputs {
+        for c in p.side_inputs {
             let sens = Trit::from(
                 n.kind(c.sink)
                     .sensitizing_value()
@@ -1461,7 +1417,7 @@ pub fn verify_outcome(
                 n.gate_name(p.from)
             ));
         }
-        for &g in &p.gates {
+        for &g in p.gates {
             if imp.value(g).is_known() {
                 return Err(format!(
                     "path {}->{} gate {} is stuck at {:?} in test mode",
@@ -1709,7 +1665,7 @@ mod tests {
 #[cfg(test)]
 mod config_tests {
     use super::*;
-    use crate::paths::{enumerate_paths, ScanPathCandidate};
+    use crate::paths::enumerate_paths;
     use std::collections::BTreeMap;
     use tpi_workloads::{generate, CircuitSpec, StructureClass};
 
@@ -1795,30 +1751,6 @@ mod config_tests {
         }
     }
 
-    /// Status of path `p` under the valuation `value`, re-derived
-    /// straight from the path record: `(nullified, w)` with `w` the side
-    /// inputs still unknown. A constant at the source flip-flop or on a
-    /// path gate nullifies, and so does a non-sensitizing constant on a
-    /// side input.
-    fn literal_status(
-        n: &Netlist,
-        p: &ScanPathCandidate,
-        value: &impl Fn(GateId) -> Trit,
-    ) -> (bool, u32) {
-        if value(p.from).is_known() || p.gates.iter().any(|&g| value(g).is_known()) {
-            return (true, 0);
-        }
-        let mut w = 0;
-        for c in &p.side_inputs {
-            match value(c.source) {
-                Trit::X => w += 1,
-                v if Some(v) == sensitizing_for(n.kind(c.sink)) => {}
-                _ => return (true, 0),
-            }
-        }
-        (false, w)
-    }
-
     impl TpGreed<'_> {
         /// Equation 1 for one candidate, evaluated literally on the
         /// committed state: one scalar `preview_force`, the validity rule
@@ -1844,10 +1776,7 @@ mod config_tests {
                 return 0.0;
             }
             let ids: Vec<PathId> = self.paths.ids().collect();
-            let before: Vec<(bool, u32)> = ids
-                .iter()
-                .map(|&id| literal_status(self.n, self.paths.path(id), &|g| self.imp.value(g)))
-                .collect();
+            let before: Vec<(bool, u32)> = ids.iter().map(|&id| self.path_status(id)).collect();
             let preview = self.imp.preview_force(net, value);
             let valid = preview.changes().iter().all(|a| {
                 let want = self.protected[a.net.index()];
@@ -1861,12 +1790,11 @@ mod config_tests {
                     continue;
                 }
                 assert_eq!((dead_before, w_before), (false, st.w), "path state drifted");
-                let p = self.paths.path(id);
-                let (nullified, w) = literal_status(self.n, p, &|g| self.imp.value(g));
+                let (nullified, w) = self.path_status(id);
                 if nullified {
                     kills += 1;
                 } else if w < w_before {
-                    let d = p.to.index();
+                    let d = self.paths.path(id).to.index();
                     let c = self.dest_weight[d] / f64::from(w_before);
                     let e = best.entry(d).or_insert(c);
                     *e = e.max(c);

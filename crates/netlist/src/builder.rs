@@ -314,7 +314,8 @@ impl NetlistBuilder {
         index.renumber(&gate_of);
         n.adopt_names(names, index);
         n.wire_fanouts(&fanouts);
-        n.validate()?;
+        n.validate_built()?;
+        debug_assert_eq!(n.validate(), Ok(()), "a bulk build mirrors fanins by construction");
         Ok(n)
     }
 

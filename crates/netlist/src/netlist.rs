@@ -754,27 +754,8 @@ impl Netlist {
         let mut seen = vec![false; fanin_edges];
         let mut fanout_edges = 0usize;
         for g in self.gate_ids() {
+            self.check_arity(g)?;
             let gate = &self.gates[g.index()];
-            let actual = gate.fanins.len();
-            match gate.kind.fixed_arity() {
-                Some(expected) if actual != expected => {
-                    return Err(NetlistError::ArityUnderflow {
-                        gate: g,
-                        kind: gate.kind,
-                        expected,
-                        actual,
-                    });
-                }
-                None if actual == 0 => {
-                    return Err(NetlistError::ArityUnderflow {
-                        gate: g,
-                        kind: gate.kind,
-                        expected: 1,
-                        actual,
-                    });
-                }
-                _ => {}
-            }
             for &src in &gate.fanins {
                 self.check(src)?;
             }
@@ -801,6 +782,33 @@ impl Netlist {
                 }
             }
         }
+        self.check_acyclic()
+    }
+
+    /// The part of [`Netlist::validate`] a bulk build can fail: fanin
+    /// arities, then combinational cycles. A builder that resolved every
+    /// fanin to an existing gate and derived the fanouts from the fanins
+    /// has the fanin/fanout mirror by construction, so this returns the
+    /// same first error `validate` would.
+    pub(crate) fn validate_built(&self) -> Result<(), NetlistError> {
+        for g in self.gate_ids() {
+            self.check_arity(g)?;
+        }
+        self.check_acyclic()
+    }
+
+    fn check_arity(&self, g: GateId) -> Result<(), NetlistError> {
+        let gate = &self.gates[g.index()];
+        let actual = gate.fanins.len();
+        let expected = match gate.kind.fixed_arity() {
+            Some(expected) if actual != expected => expected,
+            None if actual == 0 => 1,
+            _ => return Ok(()),
+        };
+        Err(NetlistError::ArityUnderflow { gate: g, kind: gate.kind, expected, actual })
+    }
+
+    fn check_acyclic(&self) -> Result<(), NetlistError> {
         crate::topo::topo_order(self).map_err(|e| NetlistError::CombinationalCycle(e.gate()))?;
         Ok(())
     }

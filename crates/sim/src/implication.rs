@@ -141,13 +141,10 @@ impl<'a> Implication<'a> {
         self.forced[net.index()]
     }
 
-    /// All currently determined nets.
-    pub fn known(&self) -> Vec<Assignment> {
-        self.netlist
-            .gate_ids()
-            .filter(|g| self.values[g.index()].is_known())
-            .map(|g| Assignment { net: g, value: self.values[g.index()] })
-            .collect()
+    /// Current value of every net, indexed by gate.
+    #[inline]
+    pub fn values(&self) -> &[Trit] {
+        &self.values
     }
 
     /// Forces `net` to `value` and propagates forward. Returns every net
@@ -246,16 +243,6 @@ impl<'a> Implication<'a> {
                 self.values[g.index()] = self.derive(g);
             }
         }
-    }
-
-    /// Runs `f` against a scratch copy of the engine with `net` forced to
-    /// `value`, without mutating `self`. Returns `f`'s result. This is the
-    /// cheap "what would this test point imply?" query that TPGREED's gain
-    /// function issues for every candidate.
-    pub fn with_trial<R>(&self, net: GateId, value: Trit, f: impl FnOnce(&[Assignment]) -> R) -> R {
-        let mut scratch = self.clone();
-        let delta = scratch.force(net, value);
-        f(&delta)
     }
 }
 
@@ -385,16 +372,6 @@ mod tests {
         imp.undo_preview(p);
         assert_eq!(imp.value(a), Trit::Zero);
         assert!(imp.is_forced(a));
-    }
-
-    #[test]
-    fn with_trial_leaves_engine_untouched() {
-        let (n, a, _b, g1, _g2) = chain();
-        let imp = Implication::new(&n);
-        let count = imp.with_trial(a, Trit::Zero, |delta| delta.len());
-        assert_eq!(count, 3);
-        assert_eq!(imp.value(a), Trit::X);
-        assert_eq!(imp.value(g1), Trit::X);
     }
 
     #[test]

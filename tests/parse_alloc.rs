@@ -1,8 +1,9 @@
 //! Deterministic allocation gates on a 25k-gate industrial design: the
 //! BLIF parse in bytes (as a multiple of the text's size) and in
-//! allocations per gate, and path enumeration in bytes per gate. Byte
-//! and allocation counts do not depend on the host's speed, so these
-//! gate what wall time cannot.
+//! allocations per gate, and path enumeration in bytes per gate; on the
+//! suite circuits, path enumeration in allocations per flip-flop and the
+//! partial-scan flows in bytes per gate. Byte and allocation counts do
+//! not depend on the host's speed, so these gate what wall time cannot.
 //!
 //! The counting allocator counts what `perfbench` counts: the size of
 //! every allocation plus the growth of every reallocation, frees not
@@ -22,9 +23,10 @@ use scanpath::workloads::{generate, suite};
 
 /// Bytes a parse may allocate per byte of BLIF. The builder's interned
 /// names, their index and the gates' fanin symbols plus the finished
-/// `Netlist` measure 6.5× (7.9× when the builder copied every name
-/// occurrence and kept a 16-byte span per fanin); the bound keeps that
-/// measurement's 27 % margin.
+/// `Netlist` measure 6.2× (6.5× when the build re-checked the fanout
+/// mirror it had just built, 7.9× when the builder copied every name
+/// occurrence and kept a 16-byte span per fanin); the bound keeps the
+/// 6.5× measurement's 27 % margin.
 const MAX_BYTES_PER_TEXT_BYTE: f64 = 8.2;
 
 /// Allocations a parse may make per parsed gate. It measures 2.0: the
@@ -33,10 +35,21 @@ const MAX_BYTES_PER_TEXT_BYTE: f64 = 8.2;
 const MAX_ALLOCS_PER_GATE: f64 = 2.5;
 
 /// Bytes path enumeration may allocate per gate. The design's ~4,000
-/// flip-flops each start a DFS, and their frame stacks measure 91.5
-/// bytes per gate; an on-path marker per flip-flop, rather than one per
+/// flip-flops each start a DFS over one reused scratch, which measures
+/// 27.5 bytes per gate (91.5 with a frame stack allocated per
+/// flip-flop); an on-path marker per flip-flop, rather than one per
 /// worker, would add a byte per gate for every flip-flop.
 const MAX_ENUMERATION_BYTES_PER_GATE: f64 = 256.0;
+
+/// Allocations path enumeration may make per flip-flop on `dsip` and
+/// `s5378`, suite circuits with paths to record (the industrial design
+/// has none). It measures 3.1 on `dsip` and 2.7 on `s5378`: a
+/// flip-flop's DFS records its paths in three flat runs (ends, gates,
+/// side inputs) while its frame stack and current-path buffers are
+/// reused from the flip-flop before; the bound keeps a 27 % margin. Collecting each entered gate's
+/// side inputs in a fresh `Vec`, with two owned `Vec`s per recorded path
+/// and four hash indices, measured 207 and 303.
+const MAX_ENUMERATION_ALLOCS_PER_FF: f64 = 4.0;
 
 /// Bytes a TPTIME run on `dsip` may allocate per gate. It measures 1,178
 /// with cone-local regions (one gate-sized slot table per region) and
@@ -190,6 +203,29 @@ fn enumerating_paths_allocates_linearly() {
         "enumeration allocated {per_gate:.1} bytes per gate, over the \
          {MAX_ENUMERATION_BYTES_PER_GATE} gate"
     );
+}
+
+#[test]
+fn enumerating_paths_allocates_at_most_4_times_per_flip_flop() {
+    for name in ["dsip", "s5378"] {
+        let spec = suite().into_iter().find(|s| s.name == name).expect("suite circuit");
+        let n = generate(&spec);
+        let (paths, counts) = allocated_by(|| enumerate_paths(&n, 10, usize::MAX));
+        let per_ff = counts.allocs as f64 / n.dffs().len() as f64;
+        eprintln!(
+            "enumerating {} paths from {} flip-flops of {name} made {} allocations \
+             ({per_ff:.1} per flip-flop)",
+            paths.len(),
+            n.dffs().len(),
+            counts.allocs
+        );
+        assert!(!paths.is_empty(), "{name} has paths to record");
+        assert!(
+            per_ff <= MAX_ENUMERATION_ALLOCS_PER_FF,
+            "enumeration on {name} made {per_ff:.1} allocations per flip-flop, over the \
+             {MAX_ENUMERATION_ALLOCS_PER_FF} gate"
+        );
+    }
 }
 
 /// Bytes per gate of `dsip` that a whole partial-scan run under `method`

@@ -151,7 +151,7 @@ proptest! {
         for id in ps.ids() {
             let p = ps.path(id);
             prop_assert!(p.side_input_count() <= k);
-            for c in &p.side_inputs {
+            for c in p.side_inputs {
                 prop_assert!(!p.gates.contains(&c.source));
                 prop_assert!(p.gates.contains(&c.sink));
             }

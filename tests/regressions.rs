@@ -117,7 +117,7 @@ fn replay_path_enumeration_respects_kbound(spec: &CircuitSpec, k: usize) {
     for id in ps.ids() {
         let p = ps.path(id);
         assert!(p.side_input_count() <= k);
-        for c in &p.side_inputs {
+        for c in p.side_inputs {
             assert!(!p.gates.contains(&c.source));
             assert!(p.gates.contains(&c.sink));
         }
