@@ -117,6 +117,12 @@ echo "== tpi-bench sweep (deterministic sections byte-identical across threads 1
 echo "== lane-engine equivalence (release, includes the 10k-gate circuit) =="
 cargo test -q --release -p tpi-core --test lane_equiv -- --include-ignored
 
+echo "== TPGREED live pin index oracle (release, includes the large circuits) =="
+# After every commit, each net's live pins must equal the path store's
+# pins of alive, non-established, pair-usable paths, in store order, in
+# both gain-update modes at threads 1 and 2.
+cargo test -q --release -p tpi-core --lib tpgreed -- --include-ignored
+
 echo "== BLIF parser equivalence (release, includes the 100k-gate design) =="
 cargo test -q --release --test blif_parser -- --include-ignored
 

@@ -28,7 +28,7 @@
 //! scalar `preview_force` and a walk over every path — survives only as
 //! the test oracle that the sweep's gains must match bit for bit.
 
-use crate::paths::{enumerate_paths, PathId, PathSet, PinRole};
+use crate::paths::{enumerate_paths, PathId, PathPin, PathSet, PinRole};
 use crate::progress::{Canceled, Progress};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -158,15 +158,19 @@ struct PathState {
     w: u32,
 }
 
-/// Union-find over flip-flops for chain-cycle prevention.
+/// Union-find over flip-flops for chain-cycle prevention, plus each
+/// fragment's members (a circular list through `next`) and size, so an
+/// establishment can walk the smaller of the two fragments it joins.
 #[derive(Debug, Clone)]
 struct Fragments {
     parent: Vec<usize>,
+    next: Vec<usize>,
+    size: Vec<usize>,
 }
 
 impl Fragments {
     fn new(n: usize) -> Self {
-        Fragments { parent: (0..n).collect() }
+        Fragments { parent: (0..n).collect(), next: (0..n).collect(), size: vec![1; n] }
     }
     /// Iterative find with full path compression. (A recursive version
     /// overflowed the stack on degenerate long union chains — e.g. a
@@ -189,7 +193,160 @@ impl Fragments {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
             self.parent[ra] = rb;
+            self.size[rb] += self.size[ra];
+            // Swapping one successor of each circular list splices them.
+            self.next.swap(ra, rb);
         }
+    }
+    /// The members of the fragment rooted at `root`.
+    fn members(&self, root: usize) -> Vec<usize> {
+        let mut out = vec![root];
+        let mut s = self.next[root];
+        while s != root {
+            out.push(s);
+            s = self.next[s];
+        }
+        out
+    }
+}
+
+/// Path ids grouped by one endpoint's flip-flop slot, CSR: slot `s` owns
+/// `ids[off[s]..off[s + 1]]`, ascending.
+#[derive(Debug, Clone)]
+struct SlotPaths {
+    off: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl SlotPaths {
+    /// Groups `paths` by the slot `end` picks from `(source, destination)`.
+    fn new(paths: &PathSet, slots: usize, end: impl Fn((usize, usize)) -> usize) -> Self {
+        let mut off = vec![0u32; slots + 1];
+        for id in paths.ids() {
+            off[end(paths.slots(id)) + 1] += 1;
+        }
+        for s in 0..slots {
+            off[s + 1] += off[s];
+        }
+        let mut cursor = off[..slots].to_vec();
+        let mut ids = vec![0; paths.len()];
+        for id in paths.ids() {
+            let s = end(paths.slots(id));
+            ids[cursor[s] as usize] = id.0;
+            cursor[s] += 1;
+        }
+        SlotPaths { off, ids }
+    }
+    /// Positions in `ids` of slot `s`'s paths.
+    fn range(&self, s: usize) -> std::ops::Range<usize> {
+        self.off[s] as usize..self.off[s + 1] as usize
+    }
+}
+
+/// TPGREED's working copy of the path store's pin index, holding the
+/// pins of *live* paths only: alive, not established, and with an
+/// endpoint pair that is still usable. All three exits are permanent, so
+/// a path retires once and for good, and the walks that read this copy —
+/// the sweep's union pass and the commit's delta pass — never visit a pin
+/// that can no longer matter. Retired paths queue up and leave by an
+/// order-preserving compaction of the nets they touch, which
+/// [`TpGreed::establish_ready_paths`] runs at the end of every commit;
+/// each net keeps its surviving pins in the store's order.
+#[derive(Debug, Clone)]
+struct LivePins {
+    /// Net -> start of its run in `pins`.
+    off: Vec<u32>,
+    /// Net -> number of live pins at the head of its run.
+    len: Vec<u32>,
+    pins: Vec<PathPin>,
+    /// Per path: still live.
+    live: Vec<bool>,
+    /// Number of live paths.
+    count: usize,
+    /// Paths retired since the last compaction.
+    retired: Vec<PathId>,
+    /// Compaction scratch: the nets to compact, and which are listed.
+    nets: Vec<u32>,
+    listed: Vec<bool>,
+}
+
+impl LivePins {
+    /// Copies the pins of the paths `live` marks, in the store's order.
+    fn new(paths: &PathSet, gate_count: usize, live: Vec<bool>) -> Self {
+        let mut off = Vec::with_capacity(gate_count);
+        let mut len = Vec::with_capacity(gate_count);
+        let mut pins = Vec::new();
+        for net in 0..gate_count {
+            let start = pins.len();
+            pins.extend(paths.pins(net).iter().filter(|p| live[p.path.index()]));
+            off.push(start as u32);
+            len.push((pins.len() - start) as u32);
+        }
+        let count = live.iter().filter(|&&l| l).count();
+        LivePins {
+            off,
+            len,
+            pins,
+            live,
+            count,
+            retired: Vec::new(),
+            nets: Vec::new(),
+            listed: vec![false; gate_count],
+        }
+    }
+
+    /// The live pins of `net`, in the store's order.
+    #[inline]
+    fn pins(&self, net: usize) -> &[PathPin] {
+        let o = self.off[net] as usize;
+        &self.pins[o..o + self.len[net] as usize]
+    }
+
+    #[inline]
+    fn is_live(&self, id: PathId) -> bool {
+        self.live[id.index()]
+    }
+
+    /// Takes `id` out of the live set; its pins leave at the next
+    /// [`LivePins::compact`].
+    fn retire(&mut self, id: PathId) {
+        debug_assert!(self.live[id.index()], "path {} retired twice", id.index());
+        self.live[id.index()] = false;
+        self.count -= 1;
+        self.retired.push(id);
+    }
+
+    /// Drops the retired paths' pins from every net they touch, keeping
+    /// the survivors' order.
+    fn compact(&mut self, paths: &PathSet) {
+        for &id in &self.retired {
+            let p = paths.path(id);
+            let nets = std::iter::once(p.from)
+                .chain(p.gates.iter().copied())
+                .chain(p.side_inputs.iter().map(|c| c.source));
+            for net in nets {
+                if !self.listed[net.index()] {
+                    self.listed[net.index()] = true;
+                    self.nets.push(net.index() as u32);
+                }
+            }
+        }
+        self.retired.clear();
+        for &net in &self.nets {
+            let i = net as usize;
+            self.listed[i] = false;
+            let start = self.off[i] as usize;
+            let mut kept = start;
+            for k in start..start + self.len[i] as usize {
+                let pin = self.pins[k];
+                if self.live[pin.path.index()] {
+                    self.pins[kept] = pin;
+                    kept += 1;
+                }
+            }
+            self.len[i] = (kept - start) as u32;
+        }
+        self.nets.clear();
     }
 }
 
@@ -230,8 +387,12 @@ pub struct TpGreed<'a> {
     /// Word-parallel twin of `imp`, kept in lock-step after every commit.
     lanes: LaneEngine,
     state: Vec<PathState>,
-    out_taken: Vec<bool>,
-    in_taken: Vec<bool>,
+    /// The pin index of the live paths (see [`LivePins`]).
+    live: LivePins,
+    /// Paths by source slot and by destination slot, so an establishment
+    /// finds the paths it makes unusable without scanning the store.
+    out_paths: SlotPaths,
+    in_paths: SlotPaths,
     frags: Fragments,
     /// Nets whose values are pinned by established paths (desired
     /// constants, indexed by gate; `X` = unprotected — protected values
@@ -285,6 +446,13 @@ pub struct TpGreed<'a> {
     threads: Threads,
     /// Reusable per-sweep scoring scratch (stamp-dedup arrays).
     scratch: ScoreScratch,
+    /// Candidates previewed on the lane engine so far.
+    #[cfg(test)]
+    previewed: usize,
+    /// Check the live pin index against the path store after every
+    /// commit (see `assert_live_index`).
+    #[cfg(test)]
+    check_live: bool,
 }
 
 /// Reusable scoring scratch: stamp arrays replace a `BTreeMap` of
@@ -411,11 +579,20 @@ impl<'a> TpGreed<'a> {
         let imp = Implication::new(n);
         let lanes = LaneEngine::mirror(&imp);
         let ffs = n.dffs();
-        let state = paths
+        let state: Vec<PathState> = paths
             .ids()
             .map(|id| {
                 let (nullified, w) = paths.path(id).status(n, |g| imp.value(g));
                 PathState { alive: !nullified, established: false, w }
+            })
+            .collect();
+        // Before any establishment a pair is usable unless it closes a
+        // one-flip-flop loop.
+        let live = paths
+            .ids()
+            .map(|id| {
+                let (i, j) = paths.slots(id);
+                state[id.index()].alive && i != j
             })
             .collect();
         let candidate_count = n.gate_count() * 2;
@@ -435,8 +612,9 @@ impl<'a> TpGreed<'a> {
             imp,
             lanes,
             state,
-            out_taken: vec![false; ffs.len()],
-            in_taken: vec![false; ffs.len()],
+            live: LivePins::new(&paths, n.gate_count(), live),
+            out_paths: SlotPaths::new(&paths, ffs.len(), |(i, _)| i),
+            in_paths: SlotPaths::new(&paths, ffs.len(), |(_, j)| j),
             frags: Fragments::new(ffs.len()),
             protected: vec![Trit::X; n.gate_count()],
             established_net: vec![false; n.gate_count()],
@@ -454,6 +632,10 @@ impl<'a> TpGreed<'a> {
             progress: Arc::new(Progress::new()),
             threads: Threads::new(1),
             scratch: ScoreScratch::new(paths.len(), n.gate_count()),
+            #[cfg(test)]
+            previewed: 0,
+            #[cfg(test)]
+            check_live: false,
             paths,
         }
     }
@@ -509,17 +691,7 @@ impl<'a> TpGreed<'a> {
     /// [`Canceled`] when the attached [`Progress`] was canceled or timed
     /// out.
     pub fn try_run_with_paths(mut self) -> Result<(TpGreedOutcome, PathSet), Canceled> {
-        self.progress.add_paths_enumerated(self.paths.len() as u64);
-        // Free paths (w == 0, e.g. direct FF->FF connections) cost
-        // nothing: establish them before any insertion, as ref. [13]'s
-        // cost-free scan does.
-        self.establish_ready_paths();
-
-        match self.cfg.gain_update {
-            GainUpdate::Full => self.run_full()?,
-            GainUpdate::Incremental => self.run_incremental()?,
-        }
-
+        self.run_loop()?;
         let implied = self
             .n
             .gate_ids()
@@ -538,12 +710,29 @@ impl<'a> TpGreed<'a> {
         ))
     }
 
+    /// Establishes the free paths, then runs the greedy loop of the
+    /// configured [`GainUpdate`] mode until no candidate qualifies.
+    fn run_loop(&mut self) -> Result<(), Canceled> {
+        self.progress.add_paths_enumerated(self.paths.len() as u64);
+        self.establish_free_paths();
+        match self.cfg.gain_update {
+            GainUpdate::Full => self.run_full(),
+            GainUpdate::Incremental => self.run_incremental(),
+        }
+    }
+
     fn run_full(&mut self) -> Result<(), Canceled> {
         let all: Vec<usize> = (0..self.gains.len()).collect();
         loop {
             self.progress.checkpoint()?;
             self.progress.add_round();
             self.iterations += 1;
+            if self.live.count == 0 {
+                // No gain can exceed 0 without a live path: count the
+                // sweep this round would run, and stop.
+                self.progress.add_candidates_evaluated(all.len() as u64);
+                break;
+            }
             let evals = self.sweep_gains(&all, false).evals;
             let mut best: Option<(f64, usize)> = None;
             for (cand, e) in evals.iter().enumerate() {
@@ -572,6 +761,15 @@ impl<'a> TpGreed<'a> {
             self.progress.checkpoint()?;
             self.progress.add_round();
             self.iterations += 1;
+            if self.live.count == 0 {
+                // No gain can exceed 0 without a live path, and every
+                // heap entry is stale: the path that gave it its gain
+                // dirtied it when it retired. Count the sweep this round
+                // would run, and stop.
+                let dirty = self.dirty.iter().filter(|&&d| d).count();
+                self.progress.add_candidates_evaluated(dirty as u64);
+                break;
+            }
             // Refresh dirty candidates (ascending order; the parallel
             // sweep returns results in that same order).
             let dirty: Vec<usize> = (0..self.gains.len()).filter(|&c| self.dirty[c]).collect();
@@ -632,19 +830,11 @@ impl<'a> TpGreed<'a> {
         // (never of worker scheduling), so this counter is identical at
         // every `threads` setting.
         self.progress.add_candidates_evaluated(cands.len() as u64);
-        // Snapshot the chain-fragment roots so `pair_usable` needs no
-        // mutable union-find access inside workers.
-        let ff_roots: Vec<usize> = {
-            let frags = &mut self.frags;
-            (0..frags.parent.len()).map(|i| frags.find(i)).collect()
-        };
         let ctx = EvalCtx {
             n: self.n,
             paths: &self.paths,
+            pins: &self.live,
             state: &self.state,
-            out_taken: &self.out_taken,
-            in_taken: &self.in_taken,
-            ff_roots: &ff_roots,
             protected: &self.protected,
             established_net: &self.established_net,
             values: self.imp.values(),
@@ -662,6 +852,10 @@ impl<'a> TpGreed<'a> {
                     jobs.push((slot as u32, cand as u32));
                 }
             }
+        }
+        #[cfg(test)]
+        {
+            self.previewed += jobs.len();
         }
         if jobs.is_empty() {
             return SweepResult { evals: out, groups: Vec::new() };
@@ -752,9 +946,26 @@ impl<'a> TpGreed<'a> {
         }
     }
 
-    fn pair_usable(&mut self, id: PathId) -> bool {
-        let (i, j) = self.paths.slots(id);
-        !self.out_taken[i] && !self.in_taken[j] && self.frags.find(i) != self.frags.find(j)
+    /// Per path, whether its endpoint pair is still usable, re-derived
+    /// from the established paths and the chain fragments for the
+    /// oracles: no established path leaves its source or enters its
+    /// destination, and the two lie in different fragments.
+    #[cfg(test)]
+    fn pair_usability(&mut self) -> Vec<bool> {
+        let slots = self.frags.parent.len();
+        let (mut out_taken, mut in_taken) = (vec![false; slots], vec![false; slots]);
+        for &e in &self.established {
+            let (i, j) = self.paths.slots(e);
+            out_taken[i] = true;
+            in_taken[j] = true;
+        }
+        let ids: Vec<PathId> = self.paths.ids().collect();
+        ids.into_iter()
+            .map(|id| {
+                let (i, j) = self.paths.slots(id);
+                !out_taken[i] && !in_taken[j] && self.frags.find(i) != self.frags.find(j)
+            })
+            .collect()
     }
 
     /// Current status of a path under `self.imp`: (nullified, w). Used on
@@ -778,15 +989,14 @@ impl<'a> TpGreed<'a> {
         let view = Arc::clone(self.imp.view());
         // Delta-driven path update: instead of re-walking every affected
         // path with `path_status`, accumulate the exact (nullified, Δw)
-        // effect of each changed net through its pin list — the same
+        // effect of each changed net through its live pins — the same
         // class-transition rules the lane scorer applies, on lane 0.
-        // Transitions ignore the pre-commit value: for a still-alive path
-        // a from/through pin was X and a side pin was X or sensitizing,
-        // which pins down the old class; paths already dead accumulate
-        // garbage but are skipped below.
+        // Transitions ignore the pre-commit value: for a live path a
+        // from/through pin was X and a side pin was X or sensitizing,
+        // which pins down the old class.
         self.scratch.begin_batch();
         for a in &delta {
-            for pin in self.paths.pins(a.net.index()) {
+            for pin in self.live.pins(a.net.index()) {
                 let acc = self.scratch.acc_for(pin.path.0);
                 match pin.role {
                     PinRole::Through | PinRole::From => {
@@ -834,28 +1044,31 @@ impl<'a> TpGreed<'a> {
                 &mut self.net_watchers[net as usize],
             );
         }
+        // Every live path with `w == 0` was established or retired by
+        // the last commit, so the paths ready now are those whose `w`
+        // reached 0 in this one.
+        let mut ready: Vec<PathId> = Vec::new();
         for ai in 0..self.scratch.accs.len() {
             let acc = self.scratch.accs[ai];
-            let pi = acc.path as usize;
-            let st = self.state[pi];
-            if !st.alive || st.established {
+            let id = PathId(acc.path);
+            let st = self.state[id.index()];
+            if acc.null != 0 {
+                debug_assert!(self.path_status(id).0);
+                self.state[id.index()].alive = false;
+                self.retire(id);
                 continue;
             }
-            let nullified = acc.null != 0;
             let w = (st.w as i32 + i32::from(acc.dw[0])) as u32;
-            let changed = nullified || w != st.w;
-            if nullified {
-                debug_assert!(self.path_status(PathId(acc.path)).0);
-                self.state[pi].alive = false;
-            } else {
-                debug_assert_eq!((false, w), self.path_status(PathId(acc.path)));
-                self.state[pi].w = w;
-            }
-            if changed {
-                self.mark_path_dirty(PathId(acc.path));
+            debug_assert_eq!((false, w), self.path_status(id));
+            if w != st.w {
+                self.state[id.index()].w = w;
+                self.mark_path_dirty(id);
+                if w == 0 {
+                    ready.push(id);
+                }
             }
         }
-        self.establish_ready_paths();
+        self.establish_ready_paths(ready);
     }
 
     fn mark_path_dirty(&mut self, id: PathId) {
@@ -867,76 +1080,136 @@ impl<'a> TpGreed<'a> {
         );
     }
 
-    /// Establishes every alive, usable path with `w == 0`, updating chain
-    /// constraints and protections; repeats until none remains.
+    /// Retires a live path: its watchers are dirtied, and it leaves the
+    /// live pin index. A watcher entry on a path that already retired is
+    /// stale by construction — retiring dirtied its candidate, and that
+    /// candidate's next evaluation could not register on the path again
+    /// — so no later event needs to visit it.
+    fn retire(&mut self, id: PathId) {
+        self.mark_path_dirty(id);
+        self.live.retire(id);
+    }
+
+    /// Establishes the free paths (w == 0, e.g. direct FF->FF
+    /// connections) before any insertion: they cost nothing, as in ref.
+    /// [13]'s cost-free scan.
+    fn establish_free_paths(&mut self) {
+        let ready: Vec<PathId> = self
+            .paths
+            .ids()
+            .filter(|&id| self.live.is_live(id) && self.state[id.index()].w == 0)
+            .collect();
+        self.establish_ready_paths(ready);
+    }
+
+    /// Establishes every path of `ready` (live paths with `w == 0`) that
+    /// is still live when its turn comes, in ascending [`PathId`] order,
+    /// then compacts the live pin index.
     ///
-    /// The repeat matters for the contract, not (today) for the result:
-    /// establishment is monotone-disqualifying — `establish` only unions
-    /// chain fragments, takes endpoint degrees, and protects constants,
-    /// none of which can make a previously skipped path newly ready — so
-    /// a second pass finds nothing and the loop exits after one extra
-    /// sweep. Looping to fixpoint keeps the code correct if establishment
-    /// ever gains a side effect that *enables* paths (say, forcing a
-    /// helper constant), and the `establishment_is_single_pass_stable`
-    /// regression test pins the current one-pass behavior.
-    fn establish_ready_paths(&mut self) {
-        loop {
-            let mut established_any = false;
-            for raw in 0..self.state.len() {
-                let id = PathId(raw as u32);
-                let st = self.state[raw];
-                if !st.alive || st.established || st.w != 0 {
-                    continue;
-                }
-                if !self.pair_usable(id) {
-                    continue;
-                }
-                // Double-check liveness against the current implication
-                // state (the cached state is authoritative, but cheap to
-                // re-verify).
-                let (nullified, w) = self.path_status(id);
-                if nullified || w != 0 {
-                    self.state[raw].alive = !nullified;
-                    self.state[raw].w = w;
-                    continue;
-                }
-                self.establish(id);
-                established_any = true;
+    /// One pass suffices: establishment is monotone-disqualifying —
+    /// `establish` only unions chain fragments, takes endpoint degrees,
+    /// and protects constants, none of which can make a skipped path
+    /// newly ready. The `establishment_is_single_pass_stable` regression
+    /// test pins this.
+    fn establish_ready_paths(&mut self, mut ready: Vec<PathId>) {
+        ready.sort_unstable();
+        for id in ready {
+            if !self.live.is_live(id) {
+                continue; // an establishment earlier in this pass
             }
-            if !established_any {
-                break;
+            // Double-check liveness against the current implication
+            // state (the cached state is authoritative, but cheap to
+            // re-verify).
+            let (nullified, w) = self.path_status(id);
+            if nullified || w != 0 {
+                self.state[id.index()].alive = !nullified;
+                self.state[id.index()].w = w;
+                if nullified {
+                    self.retire(id);
+                } else {
+                    self.mark_path_dirty(id);
+                }
+                continue;
             }
+            self.establish(id);
+        }
+        self.live.compact(&self.paths);
+        #[cfg(test)]
+        if self.check_live {
+            self.assert_live_index();
+        }
+    }
+
+    /// Checks the live pin index against the path store: a path is live
+    /// exactly when it is alive, not established and pair-usable; each
+    /// net's live pins are the store's pins of live paths, in the store's
+    /// order; and every live path's cached `(nullified, w)` matches a
+    /// fresh walk, with `w > 0` (a ready path would have been handled).
+    #[cfg(test)]
+    fn assert_live_index(&mut self) {
+        let ids: Vec<PathId> = self.paths.ids().collect();
+        let usable = self.pair_usability();
+        let want: Vec<bool> = ids
+            .iter()
+            .map(|&id| {
+                let st = self.state[id.index()];
+                st.alive && !st.established && usable[id.index()]
+            })
+            .collect();
+        for &id in &ids {
+            let raw = id.index();
+            assert_eq!(self.live.is_live(id), want[raw], "liveness of path {raw}");
+            if want[raw] {
+                let w = self.state[raw].w;
+                assert_eq!(self.path_status(id), (false, w), "state of live path {raw}");
+                assert!(w > 0, "live path {raw} was left ready");
+            }
+        }
+        assert_eq!(self.live.count, want.iter().filter(|&&l| l).count(), "live path count");
+        for net in 0..self.n.gate_count() {
+            let pins: Vec<PathPin> =
+                self.paths.pins(net).iter().filter(|p| want[p.path.index()]).copied().collect();
+            assert_eq!(self.live.pins(net), &pins[..], "live pins of net {net}");
         }
     }
 
     fn establish(&mut self, id: PathId) {
-        self.state[id.index()].established = true;
-        self.established.push(id);
+        debug_assert!(self.live.is_live(id));
         let (i, j) = self.paths.slots(id);
+        let (root_i, root_j) = (self.frags.find(i), self.frags.find(j));
         // Degree and acyclicity bookkeeping (the A_i* / A_*j / cycle
-        // removals of §III.A).
-        self.out_taken[i] = true;
-        self.in_taken[j] = true;
-        // Paths whose usability may flip get their watchers dirtied
-        // (conservative superset; `pair_usable` is authoritative): those
-        // leaving `i`, those entering `j`, and those between the two
-        // fragments being joined. Each slot's root is resolved once.
-        let roots: Vec<usize> = (0..self.frags.parent.len()).map(|s| self.frags.find(s)).collect();
-        let (root_a, root_b) = (roots[i], roots[j]);
-        for q in self.paths.ids() {
-            let (fi, fj) = self.paths.slots(q);
-            let (ra, rb) = (roots[fi], roots[fj]);
-            let crosses = (ra == root_a && rb == root_b) || (ra == root_b && rb == root_a);
-            if fi == i || fj == j || crosses {
-                mark_entry_watchers(
-                    &mut self.dirty,
-                    &self.watch_epoch,
-                    &self.watch_groups,
-                    &mut self.path_watchers[q.index()],
-                );
+        // removals of §III.A): every live path leaving `i`, entering `j`
+        // or joining the two fragments becomes unusable and retires —
+        // `id` itself among the first. For the last group, walk the
+        // smaller fragment's members.
+        for k in self.out_paths.range(i) {
+            self.retire_unusable(PathId(self.out_paths.ids[k]));
+        }
+        for k in self.in_paths.range(j) {
+            self.retire_unusable(PathId(self.in_paths.ids[k]));
+        }
+        let (small, other) = if self.frags.size[root_i] <= self.frags.size[root_j] {
+            (root_i, root_j)
+        } else {
+            (root_j, root_i)
+        };
+        for s in self.frags.members(small) {
+            for k in self.out_paths.range(s) {
+                let q = PathId(self.out_paths.ids[k]);
+                if self.live.is_live(q) && self.frags.find(self.paths.slots(q).1) == other {
+                    self.retire(q);
+                }
+            }
+            for k in self.in_paths.range(s) {
+                let q = PathId(self.in_paths.ids[k]);
+                if self.live.is_live(q) && self.frags.find(self.paths.slots(q).0) == other {
+                    self.retire(q);
+                }
             }
         }
         self.frags.union(i, j);
+        self.state[id.index()].established = true;
+        self.established.push(id);
         // Protect the sensitized side inputs; pin the path nets and the
         // source FF's output as must-stay-unknown.
         let p = self.paths.path(id);
@@ -948,6 +1221,13 @@ impl<'a> TpGreed<'a> {
         self.established_net[p.from.index()] = true;
         for &g in p.gates {
             self.established_net[g.index()] = true;
+        }
+    }
+
+    /// Retires `id` if it is still live (see [`TpGreed::retire`]).
+    fn retire_unusable(&mut self, id: PathId) {
+        if self.live.is_live(id) {
+            self.retire(id);
         }
     }
 }
@@ -1087,13 +1367,9 @@ fn push_entry_watcher(
 struct EvalCtx<'s, 'a> {
     n: &'a Netlist,
     paths: &'s PathSet,
+    /// The live paths' pins (see [`LivePins`]).
+    pins: &'s LivePins,
     state: &'s [PathState],
-    out_taken: &'s [bool],
-    in_taken: &'s [bool],
-    /// Union-find roots snapshotted before the sweep (`find` needs
-    /// `&mut`, and path compression never changes roots, so a snapshot
-    /// is exact).
-    ff_roots: &'s [usize],
     /// Dense by gate index; `X` = unprotected.
     protected: &'s [Trit],
     established_net: &'s [bool],
@@ -1181,13 +1457,14 @@ impl EvalCtx<'_, '_> {
                     invalid |= ch & !ok;
                 }
             }
-            let pins = self.paths.pins(i);
+            let pins = self.pins.pins(i);
             if pins.is_empty() {
-                continue; // no path lists this net anywhere
+                continue; // no live path lists this net
             }
             let (vw, kw) = eng.planes(i);
             let old = self.values[i];
             for pin in pins {
+                debug_assert!(self.is_live(pin.path), "pin of retired path {}", pin.path.index());
                 let acc = sc.acc_for(pin.path.0);
                 acc.touched |= ch;
                 match pin.role {
@@ -1240,18 +1517,11 @@ impl EvalCtx<'_, '_> {
         let mut reg_paths: Vec<(u32, u64)> = Vec::new();
         for ai in 0..sc.accs.len() {
             let acc = sc.accs[ai];
-            let pi = acc.path as usize;
-            let st = self.state[pi];
-            // Dead, established, or pair-unusable paths can never
-            // contribute again (all three conditions are monotone:
-            // nullification and establishment are permanent, chain
-            // endpoints only fill up and fragments only merge) — skip
-            // them and leave them out of the touched registration, so
-            // candidates stop watching paths whose state can no longer
+            // Every touched path is live: dead, established and
+            // pair-unusable paths left the index when they retired, so
+            // candidates never watch a path whose state can no longer
             // change their gain.
-            if !st.alive || st.established || !self.pair_usable(PathId(acc.path)) {
-                continue;
-            }
+            let st = self.state[acc.path as usize];
             let m = acc.touched & !invalid;
             if register && m != 0 {
                 reg_paths.push((acc.path, m));
@@ -1323,11 +1593,11 @@ impl EvalCtx<'_, '_> {
         (out, group_reg)
     }
 
-    /// Pairwise usability of a path's endpoints (chain degree and
-    /// acyclicity), against the snapshotted union-find roots.
-    fn pair_usable(&self, id: PathId) -> bool {
-        let (i, j) = self.paths.slots(id);
-        !self.out_taken[i] && !self.in_taken[j] && self.ff_roots[i] != self.ff_roots[j]
+    /// Whether a path is still live: not retired from the index, and
+    /// alive and not established by its own state.
+    fn is_live(&self, id: PathId) -> bool {
+        let st = self.state[id.index()];
+        self.pins.is_live(id) && st.alive && !st.established
     }
 
     fn is_candidate_net(&self, net: GateId) -> bool {
@@ -1591,9 +1861,11 @@ mod tests {
     }
 
     /// Establishment is monotone-disqualifying: once
-    /// `establish_ready_paths` returns, an immediate second call finds
-    /// nothing new. This pins the property the fixpoint loop's doc
-    /// relies on (the loop exists for the contract, not the result).
+    /// `establish_ready_paths` returns, no live path has `w == 0`, and a
+    /// second pass over every alive `w == 0` path (what a whole-store
+    /// scan would examine) finds nothing new. This pins the property that
+    /// lets one pass over a commit's ready paths stand in for a loop to
+    /// fixpoint.
     #[test]
     fn establishment_is_single_pass_stable() {
         // A shift register plus the fig1 skeleton: several free paths
@@ -1609,11 +1881,20 @@ mod tests {
         let cfg = TpGreedConfig::default();
         let paths = enumerate_paths(&n, cfg.k_bound, cfg.max_paths);
         let mut tp = TpGreed::with_paths(&n, cfg, paths);
-        tp.establish_ready_paths();
+        tp.establish_free_paths();
         let first = tp.established.len();
         assert!(first > 0, "free paths must establish");
-        tp.establish_ready_paths();
-        assert_eq!(tp.established.len(), first, "second call must be a no-op");
+        assert!(
+            tp.paths.ids().all(|id| !tp.live.is_live(id) || tp.state[id.index()].w > 0),
+            "a live path was left ready"
+        );
+        let again: Vec<PathId> = tp
+            .paths
+            .ids()
+            .filter(|&id| tp.state[id.index()].alive && tp.state[id.index()].w == 0)
+            .collect();
+        tp.establish_ready_paths(again);
+        assert_eq!(tp.established.len(), first, "second pass must be a no-op");
     }
 
     /// Re-evaluating dirty candidates across iterations must not
@@ -1627,7 +1908,7 @@ mod tests {
         let cfg = TpGreedConfig::default();
         let paths = enumerate_paths(&n, cfg.k_bound, cfg.max_paths);
         let mut tp = TpGreed::with_paths(&n, cfg, paths);
-        tp.establish_ready_paths();
+        tp.establish_free_paths();
         tp.run_incremental().unwrap();
         assert!(!tp.test_points.is_empty(), "the run must exercise re-evaluation");
         let lists = tp.path_watchers.iter().chain(&tp.net_watchers);
@@ -1666,8 +1947,10 @@ mod tests {
 mod config_tests {
     use super::*;
     use crate::paths::enumerate_paths;
+    use crate::progress::CounterSnapshot;
     use std::collections::BTreeMap;
-    use tpi_workloads::{generate, CircuitSpec, StructureClass};
+    use tpi_workloads::industrial::{generate_industrial, IndustrialSpec};
+    use tpi_workloads::{generate, smoke_suite, suite, CircuitSpec, StructureClass};
 
     fn workload(seed: u64) -> tpi_netlist::Netlist {
         generate(&CircuitSpec {
@@ -1776,6 +2059,7 @@ mod config_tests {
                 return 0.0;
             }
             let ids: Vec<PathId> = self.paths.ids().collect();
+            let usable = self.pair_usability();
             let before: Vec<(bool, u32)> = ids.iter().map(|&id| self.path_status(id)).collect();
             let preview = self.imp.preview_force(net, value);
             let valid = preview.changes().iter().all(|a| {
@@ -1786,7 +2070,7 @@ mod config_tests {
             let mut kills = 0u32;
             for (&id, &(dead_before, w_before)) in ids.iter().zip(&before) {
                 let st = self.state[id.index()];
-                if !valid || !st.alive || st.established || !self.pair_usable(id) {
+                if !valid || !st.alive || st.established || !usable[id.index()] {
                     continue;
                 }
                 assert_eq!((dead_before, w_before), (false, st.w), "path state drifted");
@@ -1841,7 +2125,7 @@ mod config_tests {
                     let cfg = TpGreedConfig { gain_model, ..TpGreedConfig::default() };
                     let paths = enumerate_paths(n, cfg.k_bound, cfg.max_paths);
                     let mut tp = TpGreed::with_paths(n, cfg, paths).with_threads(threads);
-                    tp.establish_ready_paths();
+                    tp.establish_free_paths();
                     let all: Vec<usize> = (0..tp.gains.len()).collect();
                     let thirds: Vec<usize> = all.iter().copied().filter(|c| c % 3 == 1).collect();
                     for iteration in 0..4 {
@@ -1880,6 +2164,116 @@ mod config_tests {
             }
         }
         assert!(positive > 0, "the oracle must see positive gains");
+    }
+
+    /// Runs TPGREED on each circuit with the live pin index checked
+    /// against the path store after every commit (see
+    /// `assert_live_index`), under both gain-update modes at threads 1
+    /// and 2: outcomes must match across all four, and the store's own
+    /// pin index must come back unchanged.
+    fn check_live_index(circuits: &[Netlist]) {
+        for n in circuits {
+            let cfg = TpGreedConfig::default();
+            let store = enumerate_paths(n, cfg.k_bound, cfg.max_paths);
+            let mut first = None;
+            for gain_update in [GainUpdate::Full, GainUpdate::Incremental] {
+                for threads in [1, 2] {
+                    let cfg = TpGreedConfig { gain_update, ..TpGreedConfig::default() };
+                    let mut tp = TpGreed::with_paths(n, cfg, store.clone()).with_threads(threads);
+                    tp.check_live = true;
+                    let (outcome, paths) = tp.run_with_paths();
+                    for net in 0..n.gate_count() {
+                        assert_eq!(paths.pins(net), store.pins(net), "{}: store pins", n.name());
+                    }
+                    verify_outcome(n, &paths, &outcome).unwrap();
+                    let got = (outcome.test_points, outcome.scan_paths, outcome.iterations);
+                    match &first {
+                        None => first = Some(got),
+                        Some(want) => {
+                            assert_eq!(&got, want, "{} {gain_update:?} threads {threads}", n.name())
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn suite_circuits(names: &[&str]) -> Vec<Netlist> {
+        names
+            .iter()
+            .map(|name| generate(&suite().into_iter().find(|s| s.name == *name).unwrap()))
+            .collect()
+    }
+
+    /// The live pin index on the `paper_cold` circuits, the smoke
+    /// circuits and seeded generated workloads.
+    #[test]
+    fn live_index_matches_the_filtered_store() {
+        let mut circuits =
+            suite_circuits(&["dsip", "s5378", "s9234", "bigkey", "mult32b", "mult32a"]);
+        circuits.extend(smoke_suite().iter().map(generate));
+        circuits.extend([3, 7, 8, 9].map(workload));
+        check_live_index(&circuits);
+    }
+
+    /// The live pin index on the large suite circuits.
+    #[test]
+    #[ignore = "large circuits; run in release mode"]
+    fn live_index_matches_the_filtered_store_on_large_circuits() {
+        check_live_index(&suite_circuits(&["s13207", "s15850", "s35932", "s38417", "s38584"]));
+    }
+
+    /// Runs the greedy loop in place, so the runner's state stays
+    /// readable afterwards.
+    fn run_in_place(tp: &mut TpGreed<'_>) -> CounterSnapshot {
+        let progress = Arc::new(Progress::new());
+        tp.progress = Arc::clone(&progress);
+        tp.run_loop().unwrap();
+        progress.snapshot()
+    }
+
+    /// With no path at all, the one round still counts and still adds
+    /// its whole candidate sweep to `candidates_evaluated`, but ends the
+    /// loop before previewing a single lane.
+    #[test]
+    fn a_run_with_no_live_path_ends_before_it_previews() {
+        let n = generate_industrial(&IndustrialSpec::sized("nolive", 3_000, 29));
+        for gain_update in [GainUpdate::Full, GainUpdate::Incremental] {
+            let cfg = TpGreedConfig { gain_update, ..TpGreedConfig::default() };
+            let mut tp = TpGreed::new(&n, cfg);
+            assert!(tp.paths.is_empty(), "the design must enumerate no path");
+            let counters = run_in_place(&mut tp);
+            assert_eq!(tp.iterations, 1, "{gain_update:?}");
+            assert_eq!(counters.rounds, 1, "{gain_update:?}");
+            assert_eq!(counters.candidates_evaluated, 2 * n.gate_count() as u64, "{gain_update:?}");
+            assert!(tp.test_points.is_empty() && tp.established.is_empty(), "{gain_update:?}");
+            assert_eq!(tp.previewed, 0, "{gain_update:?}: a lane was previewed");
+        }
+    }
+
+    /// `bigkey`'s last commit retires its last live path. The round after
+    /// it ends the loop without previewing, yet the sweep it skipped would
+    /// have previewed lanes and found no qualifying gain: the outcome and
+    /// counters are the full sweep's.
+    #[test]
+    fn the_round_after_the_last_live_path_retires_skips_its_sweep() {
+        let n = &suite_circuits(&["bigkey"])[0];
+        for gain_update in [GainUpdate::Full, GainUpdate::Incremental] {
+            let cfg = TpGreedConfig { gain_update, ..TpGreedConfig::default() };
+            let mut tp = TpGreed::new(n, cfg);
+            let counters = run_in_place(&mut tp);
+            assert_eq!(tp.live.count, 0, "{gain_update:?}: the run must end with no live path");
+            assert_eq!(counters.rounds, tp.iterations as u64);
+            assert_eq!(tp.iterations, tp.test_points.len() + 1, "the last round commits nothing");
+            let previewed = tp.previewed;
+            let skipped: Vec<usize> = match gain_update {
+                GainUpdate::Full => (0..tp.gains.len()).collect(),
+                GainUpdate::Incremental => (0..tp.gains.len()).filter(|&c| tp.dirty[c]).collect(),
+            };
+            let evals = tp.sweep_gains(&skipped, false).evals;
+            assert!(tp.previewed > previewed, "{gain_update:?}: the skipped sweep previews");
+            assert!(evals.iter().all(|e| e.gain <= 0.0), "{gain_update:?}: a gain qualified");
+        }
     }
 
     /// The `max_paths` safety cap truncates enumeration but never breaks

@@ -38,8 +38,9 @@ const MAX_ALLOCS_PER_GATE: f64 = 2.5;
 /// flip-flops each start a DFS over one reused scratch, which measures
 /// 27.5 bytes per gate (91.5 with a frame stack allocated per
 /// flip-flop); an on-path marker per flip-flop, rather than one per
-/// worker, would add a byte per gate for every flip-flop.
-const MAX_ENUMERATION_BYTES_PER_GATE: f64 = 256.0;
+/// worker, would add a byte per gate for every flip-flop. The bound
+/// keeps a 27 % margin.
+const MAX_ENUMERATION_BYTES_PER_GATE: f64 = 35.0;
 
 /// Allocations path enumeration may make per flip-flop on `dsip` and
 /// `s5378`, suite circuits with paths to record (the industrial design
