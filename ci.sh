@@ -128,8 +128,8 @@ cargo test -q --release --test blif_parser -- --include-ignored
 
 echo "== full-scan identity (release, includes the large circuits) =="
 # The full-scan flow's transformed BLIF, Table I row, every claims field
-# and deterministic metrics on every suite and smoke circuit must keep
-# their pinned digests.
+# and deterministic metrics on every suite and smoke circuit and on the
+# 25k and 100k industrial designs must keep their pinned digests.
 cargo test -q --release --test full_scan_identity -- --include-ignored
 
 echo "== partial-scan identity (release, includes the large circuits) =="
@@ -157,6 +157,11 @@ echo "== s-graph and cycle-breaking oracles (release, includes the large circuit
 # The level-ordered 64-wide s-graph build against a per-flip-flop BFS,
 # and the flat cycle-breaking reduction against the BTreeSet one.
 cargo test -q --release -p tpi-scan -- --include-ignored
+
+echo "== SCOAP wave oracle (release, includes the 100k-gate design) =="
+# The wave-scheduled forward fixpoint against whole topo sweeps: equal
+# cc0/cc1/co and pass counts, and under four evaluations per gate.
+cargo test -q --release -p tpi-dfa -- --include-ignored
 
 echo "== tpi-bench --large: gen50k lane-engine gates =="
 # Fails if selections/deterministic sections differ across --threads

@@ -18,21 +18,47 @@
 //!
 //! Flip-flops participate through a fixpoint: `CC(q) = CC(d) + 1` and
 //! `CO(d) = CO(q) + 1`. Values start at [`SAT`] and the monotone pass
-//! ([`forward`]/[`backward`]) repeats until nothing changes. The pass
-//! bound comes from counting distinct lattice points on one root-to-leaf
-//! path of the optimal derivation: every flip-flop crossing adds +1, so
-//! the same *point* can never repeat on a path (its cost would have to
-//! be strictly less than itself). Forward has **two** points per
-//! flip-flop — `Xor`/`Mux` legs mix polarities, so deriving `CC1(q)` may
-//! route through `CC0(q)` of the same flip-flop — giving `2·#FFs + 1`
-//! working passes; backward has one point per flip-flop (`CO` only),
-//! giving `#FFs + 1`. One extra pass detects the fixpoint —
-//! [`Scoap::analyze`] asserts both bounds.
+//! repeats until nothing changes. The pass bound comes from counting
+//! distinct lattice points on one root-to-leaf path of the optimal
+//! derivation: every flip-flop crossing adds +1, so the same *point* can
+//! never repeat on a path (its cost would have to be strictly less than
+//! itself). Forward has **two** points per flip-flop — `Xor`/`Mux` legs
+//! mix polarities, so deriving `CC1(q)` may route through `CC0(q)` of
+//! the same flip-flop — giving `2·#FFs + 1` working passes; backward has
+//! one point per flip-flop (`CO` only), giving `#FFs + 1`. One extra
+//! pass detects the fixpoint — [`Scoap::analyze`] asserts both bounds.
+//!
+//! **Forward runs in waves, not sweeps.** A sweep evaluates every gate
+//! in topo order, each reading its fanins' current values. A
+//! combinational fanin sits earlier in the order, so the sweep reads its
+//! new value; a flip-flop's `D` driver may sit later (flip-flops are
+//! sources of the order), and then the sweep reads the value it had
+//! after the previous sweep. A gate's value can only change when a value
+//! it reads changes. So sweep `k` needs to evaluate only
+//!
+//! - the fanouts of gates that changed earlier in sweep `k`, when the
+//!   fanout sits later in the order, and
+//! - the fanouts of gates that changed in sweep `k − 1`, when the fanout
+//!   sits at or before the changed gate: a flip-flop, or a self-loop.
+//!
+//! Wave 1 is a whole topo sweep. Each later wave pops the gates of the
+//! first kind from a heap in topo-position order, seeded with the gates
+//! of the second kind that the previous wave found. Every wave evaluates
+//! the gates a sweep would change, in the sweep's order, from the same
+//! values, so wave `k` leaves exactly the values sweep `k` leaves. The
+//! result, [`Scoap::passes`], and the pass bound's argument are
+//! therefore the sweep's — the first wave that changes nothing is the
+//! first sweep that changes nothing. Only the work differs: each wave
+//! touches the fanout cones of the flip-flops that changed, not the
+//! whole netlist, which [`Scoap::evals`] counts. Backward keeps whole
+//! sweeps; it converges in a few.
 //!
 //! All arithmetic saturates at [`SAT`]; the pass order is the view's
 //! deterministic topo order, so results are a pure function of the
 //! snapshot — byte-identical across thread counts by construction.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use tpi_netlist::GateKind;
 use tpi_sim::NetView;
 
@@ -53,8 +79,14 @@ pub struct Scoap {
     pub cc1: Vec<u32>,
     /// Observability per gate (net) index.
     pub co: Vec<u32>,
-    /// `(forward, backward)` passes until the fixpoint stabilized.
+    /// `(forward, backward)` passes until the fixpoint stabilized. A
+    /// forward wave counts as one pass (see the module docs).
     pub passes: (u32, u32),
+    /// Gate evaluations the forward fixpoint made: every gate once in
+    /// the first wave, then each gate a later wave re-evaluated. A
+    /// deterministic work count; whole sweeps would make
+    /// `passes.0 × gates`.
+    pub evals: u64,
 }
 
 impl Scoap {
@@ -67,14 +99,13 @@ impl Scoap {
     pub fn analyze(view: &NetView) -> Scoap {
         let n = view.gate_count();
         let ffs = (0..n).filter(|&g| view.kind(g) == GateKind::Dff).count() as u32;
-        let mut cc0 = vec![SAT; n];
-        let mut cc1 = vec![SAT; n];
-        let fwd =
-            crate::fixpoint("SCOAP forward", 2 * ffs + 2, || forward(view, &mut cc0, &mut cc1));
+        let mut waves = Waves::new(view);
+        let fwd = crate::fixpoint("SCOAP forward", 2 * ffs + 2, || waves.run());
+        let Waves { cc0, cc1, evals, .. } = waves;
         let mut co = vec![SAT; n];
         let bwd =
             crate::fixpoint("SCOAP backward", ffs + 2, || backward(view, &cc0, &cc1, &mut co));
-        Scoap { cc0, cc1, co, passes: (fwd, bwd) }
+        Scoap { cc0, cc1, co, passes: (fwd, bwd), evals }
     }
 
     /// Combined testability burden of net `g`: `cc0 + cc1 + co`,
@@ -86,48 +117,123 @@ impl Scoap {
     }
 }
 
-/// One monotone forward (controllability) pass in topo order. Returns
-/// whether anything changed.
-fn forward(view: &NetView, cc0: &mut [u32], cc1: &mut [u32]) -> bool {
-    let mut changed = false;
-    for &gi in view.topo() {
-        let g = gi as usize;
-        let fanin = view.fanin(g);
-        let (n0, n1) = match view.kind(g) {
-            GateKind::Input => (1, 1),
-            GateKind::Const0 => (1, SAT),
-            GateKind::Const1 => (SAT, 1),
-            GateKind::Buf | GateKind::Output => match fanin.first() {
-                Some(&f) => (cc0[f as usize], cc1[f as usize]),
-                None => (SAT, SAT),
-            },
-            GateKind::Dff => match fanin.first() {
-                Some(&f) => (add(cc0[f as usize], 1), add(cc1[f as usize], 1)),
-                None => (SAT, SAT),
-            },
-            GateKind::Inv => match fanin.first() {
-                Some(&f) => (add(cc1[f as usize], 1), add(cc0[f as usize], 1)),
-                None => (SAT, SAT),
-            },
-            GateKind::And => and_cc(fanin, cc0, cc1),
-            GateKind::Nand => swap(and_cc(fanin, cc0, cc1)),
-            GateKind::Or => swap(and_cc_dual(fanin, cc0, cc1)),
-            GateKind::Nor => and_cc_dual(fanin, cc0, cc1),
-            GateKind::Xor => xor_cc(fanin, cc0, cc1),
-            GateKind::Xnor => swap(xor_cc(fanin, cc0, cc1)),
-            GateKind::Mux => mux_cc(fanin, cc0, cc1),
-        };
-        // The fixpoint is monotone non-increasing from SAT; clamping
-        // keeps that invariant explicit.
-        let n0 = n0.min(cc0[g]);
-        let n1 = n1.min(cc1[g]);
-        if n0 != cc0[g] || n1 != cc1[g] {
-            cc0[g] = n0;
-            cc1[g] = n1;
-            changed = true;
+/// The forward fixpoint's state between waves (see the module docs).
+struct Waves<'v> {
+    view: &'v NetView,
+    cc0: Vec<u32>,
+    cc1: Vec<u32>,
+    /// Topo positions still to evaluate in the running wave.
+    now: BinaryHeap<Reverse<u32>>,
+    /// Topo positions the next wave starts from.
+    next: Vec<u32>,
+    /// Whether the whole-netlist first wave has run.
+    swept: bool,
+    evals: u64,
+}
+
+impl<'v> Waves<'v> {
+    fn new(view: &'v NetView) -> Self {
+        let n = view.gate_count();
+        Waves {
+            view,
+            cc0: vec![SAT; n],
+            cc1: vec![SAT; n],
+            now: BinaryHeap::new(),
+            next: Vec::new(),
+            swept: false,
+            evals: 0,
         }
     }
-    changed
+
+    /// Runs one wave. Returns whether any value changed.
+    fn run(&mut self) -> bool {
+        let view = self.view;
+        let mut changed = false;
+        if self.swept {
+            self.now.extend(self.next.drain(..).map(Reverse));
+            let mut last = None;
+            while let Some(Reverse(p)) = self.now.pop() {
+                if last == Some(p) {
+                    continue; // queued by two fanins
+                }
+                last = Some(p);
+                self.evals += 1;
+                if eval(view, view.topo()[p as usize] as usize, &mut self.cc0, &mut self.cc1) {
+                    changed = true;
+                    self.schedule(p, true);
+                }
+            }
+        } else {
+            // Every gate runs in this wave anyway: only sinks at or
+            // before a changed gate need scheduling.
+            self.swept = true;
+            for p in 0..view.gate_count() as u32 {
+                self.evals += 1;
+                if eval(view, view.topo()[p as usize] as usize, &mut self.cc0, &mut self.cc1) {
+                    changed = true;
+                    self.schedule(p, false);
+                }
+            }
+        }
+        changed
+    }
+
+    /// Queues the sinks of the gate at topo position `p`, whose value
+    /// just fell: a sink later in the order reads the new value in this
+    /// wave (queued only when `now`), any other sink in the next.
+    fn schedule(&mut self, p: u32, now: bool) {
+        let view = self.view;
+        for &s in view.fanouts(view.topo()[p as usize] as usize) {
+            let q = view.topo_pos(s as usize);
+            if q > p {
+                if now {
+                    self.now.push(Reverse(q));
+                }
+            } else {
+                self.next.push(q);
+            }
+        }
+    }
+}
+
+/// Re-evaluates gate `g`'s controllability from its fanins' current
+/// values. Returns whether either value fell.
+fn eval(view: &NetView, g: usize, cc0: &mut [u32], cc1: &mut [u32]) -> bool {
+    let fanin = view.fanin(g);
+    let (n0, n1) = match view.kind(g) {
+        GateKind::Input => (1, 1),
+        GateKind::Const0 => (1, SAT),
+        GateKind::Const1 => (SAT, 1),
+        GateKind::Buf | GateKind::Output => match fanin.first() {
+            Some(&f) => (cc0[f as usize], cc1[f as usize]),
+            None => (SAT, SAT),
+        },
+        GateKind::Dff => match fanin.first() {
+            Some(&f) => (add(cc0[f as usize], 1), add(cc1[f as usize], 1)),
+            None => (SAT, SAT),
+        },
+        GateKind::Inv => match fanin.first() {
+            Some(&f) => (add(cc1[f as usize], 1), add(cc0[f as usize], 1)),
+            None => (SAT, SAT),
+        },
+        GateKind::And => and_cc(fanin, cc0, cc1),
+        GateKind::Nand => swap(and_cc(fanin, cc0, cc1)),
+        GateKind::Or => swap(and_cc_dual(fanin, cc0, cc1)),
+        GateKind::Nor => and_cc_dual(fanin, cc0, cc1),
+        GateKind::Xor => xor_cc(fanin, cc0, cc1),
+        GateKind::Xnor => swap(xor_cc(fanin, cc0, cc1)),
+        GateKind::Mux => mux_cc(fanin, cc0, cc1),
+    };
+    // The fixpoint is monotone non-increasing from SAT; clamping keeps
+    // that invariant explicit.
+    let n0 = n0.min(cc0[g]);
+    let n1 = n1.min(cc1[g]);
+    if n0 == cc0[g] && n1 == cc1[g] {
+        return false;
+    }
+    cc0[g] = n0;
+    cc1[g] = n1;
+    true
 }
 
 #[inline]
@@ -243,6 +349,129 @@ fn sink_cost(view: &NetView, g: u32, s: usize, cc0: &[u32], cc1: &[u32], co: &[u
 mod tests {
     use super::*;
     use tpi_netlist::Netlist;
+    use tpi_workloads::industrial::{gen100k, generate_industrial, IndustrialSpec};
+    use tpi_workloads::{generate, smoke_suite, suite, CircuitSpec, StructureClass};
+
+    /// One monotone forward pass over the whole netlist in topo order:
+    /// the fixpoint's step before waves, kept as their oracle.
+    fn forward_sweep(view: &NetView, cc0: &mut [u32], cc1: &mut [u32]) -> bool {
+        let mut changed = false;
+        for &g in view.topo() {
+            changed |= eval(view, g as usize, cc0, cc1);
+        }
+        changed
+    }
+
+    /// [`Scoap::analyze`] with whole forward sweeps.
+    fn analyze_by_sweeps(view: &NetView) -> Scoap {
+        let n = view.gate_count();
+        let ffs = (0..n).filter(|&g| view.kind(g) == GateKind::Dff).count() as u32;
+        let (mut cc0, mut cc1) = (vec![SAT; n], vec![SAT; n]);
+        let fwd = crate::fixpoint("SCOAP forward", 2 * ffs + 2, || {
+            forward_sweep(view, &mut cc0, &mut cc1)
+        });
+        let mut co = vec![SAT; n];
+        let bwd =
+            crate::fixpoint("SCOAP backward", ffs + 2, || backward(view, &cc0, &cc1, &mut co));
+        Scoap { cc0, cc1, co, passes: (fwd, bwd), evals: u64::from(fwd) * n as u64 }
+    }
+
+    /// Waves and sweeps agree on every vector and on the pass counts.
+    /// Returns the waves' result.
+    fn assert_waves_match_sweeps(n: &Netlist) -> Scoap {
+        let view = NetView::new(n);
+        let (waves, sweeps) = (Scoap::analyze(&view), analyze_by_sweeps(&view));
+        let name = n.name();
+        assert_eq!(waves.passes, sweeps.passes, "{name}: passes");
+        assert!(waves.cc0 == sweeps.cc0, "{name}: cc0");
+        assert!(waves.cc1 == sweeps.cc1, "{name}: cc1");
+        assert!(waves.co == sweeps.co, "{name}: co");
+        assert!(waves.evals <= sweeps.evals, "{name}: waves cannot do more work than sweeps");
+        waves
+    }
+
+    #[test]
+    fn waves_match_sweeps_on_suite_and_smoke_circuits() {
+        for spec in suite().into_iter().chain(smoke_suite()) {
+            assert_waves_match_sweeps(&generate(&spec));
+        }
+    }
+
+    #[test]
+    fn waves_match_sweeps_on_seeded_generated_circuits() {
+        for seed in 0..48u64 {
+            let k = seed as usize;
+            let structure = match seed % 4 {
+                0 => StructureClass::datapath(2 + k % 5, 1 + k % 3, 1),
+                1 => StructureClass::mixed(0.5, 3, 3, 1),
+                2 => StructureClass::multiplier(3 + k % 4),
+                _ => StructureClass::deep_logic(0.4, 3, 2, 1, 4, 0.3).with_hard_rings(2, 3),
+            };
+            let spec = CircuitSpec {
+                name: format!("scoap{seed}"),
+                inputs: 2 + k % 7,
+                outputs: 1 + k % 4,
+                ffs: 1 + (k * 7) % 40,
+                target_gates: 20 + (k * 37) % 400,
+                structure,
+                seed,
+            };
+            assert_waves_match_sweeps(&generate(&spec));
+        }
+    }
+
+    #[test]
+    fn waves_match_sweeps_on_seeded_industrial_designs() {
+        for seed in 1..=4 {
+            assert_waves_match_sweeps(&generate_industrial(&IndustrialSpec::sized(
+                format!("ind3k_{seed}"),
+                3_000,
+                seed,
+            )));
+        }
+    }
+
+    #[test]
+    #[ignore = "100k gates; run in release mode"]
+    fn waves_match_sweeps_at_100k_gates() {
+        assert_waves_match_sweeps(&generate_industrial(&gen100k()));
+    }
+
+    /// The forward fixpoint's work is linear: a 25k-gate design, whose
+    /// sweeps would evaluate every gate 64 times, needs fewer than four
+    /// evaluations per gate in waves.
+    #[test]
+    fn forward_work_stays_under_four_evaluations_per_gate() {
+        let n = generate_industrial(&IndustrialSpec::sized("ind25k", 25_000, 7));
+        let s = assert_waves_match_sweeps(&n);
+        let gates = n.gate_count() as u64;
+        assert!(s.passes.0 >= 32, "the design must need many waves, got {:?}", s.passes);
+        assert!(s.evals < 4 * gates, "{} evaluations for {gates} gates", s.evals);
+    }
+
+    #[test]
+    fn shift_register_matches_sweeps_in_either_topo_order() {
+        // in -> f0 -> f1 -> ... -> f7 -> OUT, flip-flops created in both
+        // orders so that D drivers sit before and after their sinks.
+        for reversed in [false, true] {
+            let mut n = Netlist::new("t");
+            let a = n.add_input("a");
+            let mut ffs: Vec<_> =
+                (0..8).map(|i| n.add_gate(GateKind::Dff, format!("f{i}"))).collect();
+            if reversed {
+                ffs.reverse();
+            }
+            let mut prev = a;
+            for &ff in &ffs {
+                n.connect(prev, ff).unwrap();
+                prev = ff;
+            }
+            n.add_output("y", prev).unwrap();
+            let s = assert_waves_match_sweeps(&n);
+            assert_eq!(s.cc0[prev.index()], 9);
+            assert_eq!(s.cc1[prev.index()], 9);
+        }
+    }
 
     #[test]
     fn and_chain_hand_computed() {
@@ -262,6 +491,7 @@ mod tests {
         assert_eq!(s.co[g.index()], 0);
         assert_eq!(s.co[a.index()], 2); // co[g]=0 + cc1[b]=1 + 1
         assert_eq!(s.passes, (2, 2)); // 1 working pass + 1 stable check
+        assert_eq!(s.evals, 4); // the first wave; the second has nothing to do
     }
 
     #[test]
@@ -285,7 +515,7 @@ mod tests {
         n.connect(ff, g).unwrap();
         n.connect(g, ff).unwrap();
         n.add_output("y", g).unwrap();
-        let s = Scoap::analyze(&NetView::new(&n));
+        let s = assert_waves_match_sweeps(&n);
         // cc0(g) = min(cc0(a), cc0(ff)) + 1; cc0(ff) = cc0(g)+1, so the
         // fixpoint picks the input route: cc0(g) = 2, cc0(ff) = 3.
         assert_eq!(s.cc0[g.index()], 2);

@@ -2,6 +2,7 @@
 
 use crate::error::NetlistError;
 use crate::gate::{Conn, GateId, GateKind};
+use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Write as _};
 use std::hash::{BuildHasher, RandomState};
 
@@ -446,15 +447,8 @@ impl Netlist {
         pin: u32,
         new_src: GateId,
     ) -> Result<(), NetlistError> {
-        self.check(sink)?;
-        self.check(new_src)?;
-        if self.gates[new_src.index()].kind == GateKind::Output {
-            return Err(NetlistError::NotASource(new_src));
-        }
+        self.check_replace(sink, pin, new_src)?;
         let p = pin as usize;
-        if p >= self.gates[sink.index()].fanins.len() {
-            return Err(NetlistError::NoSuchPin { gate: sink, pin });
-        }
         let old_src = self.gates[sink.index()].fanins[p];
         if old_src == new_src {
             return Ok(());
@@ -466,6 +460,73 @@ impl Netlist {
         }
         self.gates[sink.index()].fanins[p] = new_src;
         self.gates[new_src.index()].fanouts.push((sink, pin));
+        Ok(())
+    }
+
+    /// Applies `edits`, each `(sink, pin, new_src)`, in order. The
+    /// netlist ends exactly as after one [`Netlist::replace_fanin`] per
+    /// edit, every fanin and fanout list in the same order. But where
+    /// `replace_fanin` searches the old source's fanout list once per
+    /// edit, this reads each old source's list once and then tracks
+    /// where every entry sits, so moving `k` entries off one net costs
+    /// O(k), not O(k²). Returns how many fanout entries it read.
+    ///
+    /// # Errors
+    /// Fails, before changing anything, with the first edit's error
+    /// from [`Netlist::replace_fanin`].
+    pub fn replace_fanins(
+        &mut self,
+        edits: &[(GateId, u32, GateId)],
+    ) -> Result<usize, NetlistError> {
+        for &(sink, pin, new_src) in edits {
+            self.check_replace(sink, pin, new_src)?;
+        }
+        Ok(self.rewire(edits))
+    }
+
+    /// [`Netlist::replace_fanins`] on edits already checked.
+    fn rewire(&mut self, edits: &[(GateId, u32, GateId)]) -> usize {
+        // Position of every entry on the lists read so far, kept
+        // current through each `swap_remove` and push below.
+        let mut at: HashMap<(GateId, u32), usize> = HashMap::new();
+        let mut read: HashSet<GateId> = HashSet::new();
+        let mut scanned = 0;
+        for &(sink, pin, new_src) in edits {
+            let old_src = self.gates[sink.index()].fanins[pin as usize];
+            if old_src == new_src {
+                continue;
+            }
+            let outs = &mut self.gates[old_src.index()].fanouts;
+            if read.insert(old_src) {
+                scanned += outs.len();
+                at.extend(outs.iter().enumerate().map(|(i, &e)| (e, i)));
+            }
+            if let Some(i) = at.remove(&(sink, pin)) {
+                outs.swap_remove(i);
+                if let Some(&moved) = outs.get(i) {
+                    at.insert(moved, i);
+                }
+            }
+            self.gates[sink.index()].fanins[pin as usize] = new_src;
+            let outs = &mut self.gates[new_src.index()].fanouts;
+            outs.push((sink, pin));
+            if read.contains(&new_src) {
+                at.insert((sink, pin), outs.len() - 1);
+            }
+        }
+        scanned
+    }
+
+    /// [`Netlist::replace_fanin`]'s checks, in its order.
+    fn check_replace(&self, sink: GateId, pin: u32, new_src: GateId) -> Result<(), NetlistError> {
+        self.check(sink)?;
+        self.check(new_src)?;
+        if self.gates[new_src.index()].kind == GateKind::Output {
+            return Err(NetlistError::NotASource(new_src));
+        }
+        if pin as usize >= self.gates[sink.index()].fanins.len() {
+            return Err(NetlistError::NoSuchPin { gate: sink, pin });
+        }
         Ok(())
     }
 
@@ -600,22 +661,21 @@ impl Netlist {
     /// do the full job.
     ///
     /// Fanouts that `new_gate` already has (e.g. the feed-through pin)
-    /// are not touched.
+    /// are not touched. The others move in one
+    /// [`Netlist::replace_fanins`], so a wide net costs linear time.
     ///
     /// # Errors
     /// Fails if either gate is unknown.
     pub fn splice_on_net(&mut self, target: GateId, new_gate: GateId) -> Result<(), NetlistError> {
         self.check(target)?;
         self.check(new_gate)?;
-        let outs: Vec<(GateId, u32)> = self.gates[target.index()]
+        let edits: Vec<(GateId, u32, GateId)> = self.gates[target.index()]
             .fanouts
             .iter()
-            .copied()
-            .filter(|&(s, _)| s != new_gate)
+            .filter(|&&(s, _)| s != new_gate)
+            .map(|&(sink, pin)| (sink, pin, new_gate))
             .collect();
-        for (sink, pin) in outs {
-            self.replace_fanin(sink, pin, new_gate)?;
-        }
+        self.replace_fanins(&edits)?;
         Ok(())
     }
 
@@ -727,6 +787,27 @@ impl Netlist {
             return Err(NetlistError::NoSuchPin { gate: mux, pin: 1 });
         }
         self.replace_fanin(mux, 1, scan_src)
+    }
+
+    /// [`Netlist::set_scan_source`] for each `(mux, scan_src)` pair, in
+    /// order, in one [`Netlist::replace_fanins`]: a chain whose muxes all
+    /// hang on one placeholder net moves them off it in linear time.
+    /// Returns how many fanout entries it read.
+    ///
+    /// # Errors
+    /// Fails, before changing anything, with the first pair's error from
+    /// [`Netlist::set_scan_source`].
+    pub fn set_scan_sources(&mut self, pairs: &[(GateId, GateId)]) -> Result<usize, NetlistError> {
+        let mut edits = Vec::with_capacity(pairs.len());
+        for &(mux, scan_src) in pairs {
+            self.check(mux)?;
+            if self.kind(mux) != GateKind::Mux {
+                return Err(NetlistError::NoSuchPin { gate: mux, pin: 1 });
+            }
+            self.check_replace(mux, 1, scan_src)?;
+            edits.push((mux, 1, scan_src));
+        }
+        Ok(self.rewire(&edits))
     }
 
     // ------------------------------------------------------------------
@@ -961,6 +1042,143 @@ mod tests {
         n.set_scan_source(mux, si2).unwrap();
         assert_eq!(n.fanin(mux)[1], si2);
         n.validate().unwrap();
+    }
+
+    /// [`Netlist::splice_on_net`] as one [`Netlist::replace_fanin`] per
+    /// pin: the oracle for its one-pass move.
+    fn splice_by_pins(n: &mut Netlist, target: GateId, new_gate: GateId) {
+        let outs: Vec<(GateId, u32)> =
+            n.fanout(target).iter().copied().filter(|&(s, _)| s != new_gate).collect();
+        for (sink, pin) in outs {
+            n.replace_fanin(sink, pin, new_gate).unwrap();
+        }
+    }
+
+    /// A net `a` with `width` fanout entries of mixed gates and pins.
+    fn wide_net(width: usize) -> (Netlist, GateId) {
+        let mut n = Netlist::new("t");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        for i in 0..width {
+            match i % 3 {
+                0 => {
+                    let g = n.add_gate(GateKind::Inv, format!("i{i}"));
+                    n.connect(a, g).unwrap();
+                }
+                1 => {
+                    let g = n.add_gate(GateKind::And, format!("g{i}"));
+                    n.connect(b, g).unwrap();
+                    n.connect(a, g).unwrap();
+                }
+                _ => {
+                    // Both pins on `a`: two entries for one sink.
+                    let g = n.add_gate(GateKind::Xor, format!("x{i}"));
+                    n.connect(a, g).unwrap();
+                    n.connect(a, g).unwrap();
+                }
+            }
+        }
+        (n, a)
+    }
+
+    #[test]
+    fn splice_matches_the_per_pin_loop_around_a_pin_of_its_own() {
+        for width in [1, 2, 7, 40, 301] {
+            for own_at in [0, width / 2, width] {
+                let (mut n, a) = wide_net(width);
+                // `new_gate` takes `a` on two pins of its own, one partway
+                // down the list and one at its end; those entries stay on
+                // `a`, and the removals move them.
+                let t = n.add_input("t");
+                let tp = n.add_gate(GateKind::And, "tp");
+                n.connect(t, tp).unwrap();
+                n.connect(a, tp).unwrap();
+                let list = &mut n.gates[a.index()].fanouts;
+                let last = list.len() - 1;
+                list.swap(own_at.min(last), last);
+                n.connect(a, tp).unwrap();
+                let mut oracle = n.clone();
+                n.splice_on_net(a, tp).unwrap();
+                splice_by_pins(&mut oracle, a, tp);
+                assert_eq!(n, oracle, "width {width}, own pin at {own_at}");
+                let mut own = n.fanout(a).to_vec();
+                own.sort_unstable();
+                assert_eq!(own, [(tp, 1), (tp, 2)]);
+                n.validate().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn replace_fanins_matches_one_replace_fanin_per_edit() {
+        use rand::prelude::*;
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut n, a) = wide_net(30);
+            let spare: Vec<GateId> = (0..4).map(|i| n.add_input(format!("s{i}"))).collect();
+            let sources: Vec<GateId> = std::iter::once(a).chain(spare).collect();
+            // Pins of every non-input gate, edited in a random order to
+            // random sources: some pins twice, some back onto the list
+            // they came from, some onto lists read later.
+            let pins: Vec<(GateId, u32)> = n
+                .gate_ids()
+                .flat_map(|g| (0..n.fanin(g).len() as u32).map(move |p| (g, p)))
+                .collect();
+            let edits: Vec<(GateId, u32, GateId)> = (0..rng.gen_range(1..80))
+                .map(|_| {
+                    let (g, p) = pins[rng.gen_range(0..pins.len())];
+                    (g, p, sources[rng.gen_range(0..sources.len())])
+                })
+                .collect();
+            let mut oracle = n.clone();
+            for &(sink, pin, src) in &edits {
+                oracle.replace_fanin(sink, pin, src).unwrap();
+            }
+            n.replace_fanins(&edits).unwrap();
+            assert_eq!(n, oracle, "seed {seed}");
+            n.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn replace_fanins_reads_each_old_list_once() {
+        // The full-scan flow's shape: every scan mux's d0 on one stub.
+        let mut n = Netlist::new("t");
+        let stub = n.add_input("stub");
+        let mut muxes = Vec::new();
+        for i in 0..500 {
+            let d = n.add_input(format!("d{i}"));
+            let ff = n.add_gate(GateKind::Dff, format!("f{i}"));
+            n.connect(d, ff).unwrap();
+            muxes.push((n.insert_scan_mux_at_pin(ff, 0, stub).unwrap(), ff));
+        }
+        let si = n.add_input("si");
+        let pairs: Vec<(GateId, GateId)> = std::iter::once(si)
+            .chain(muxes.iter().map(|&(_, ff)| ff))
+            .zip(muxes.iter().map(|&(m, _)| m))
+            .map(|(src, mux)| (mux, src))
+            .collect();
+        let mut oracle = n.clone();
+        for &(mux, src) in &pairs {
+            oracle.set_scan_source(mux, src).unwrap();
+        }
+        assert_eq!(n.set_scan_sources(&pairs).unwrap(), 500, "the stub's list, read once");
+        assert_eq!(n, oracle);
+        assert!(n.fanout(stub).is_empty());
+    }
+
+    #[test]
+    fn replace_fanins_fails_before_changing_anything() {
+        let (mut n, a, b, g) = two_nand();
+        let y = n.add_output("y", g).unwrap();
+        let c = n.add_input("c");
+        let before = n.clone();
+        let err = n.replace_fanins(&[(g, 0, c), (g, 1, y)]).unwrap_err();
+        assert_eq!(err, NetlistError::NotASource(y));
+        assert_eq!(n, before);
+        let err = n.set_scan_sources(&[(g, a)]).unwrap_err();
+        assert_eq!(err, NetlistError::NoSuchPin { gate: g, pin: 1 });
+        assert_eq!(n.fanin(g), &[a, b]);
     }
 
     #[test]

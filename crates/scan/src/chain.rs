@@ -113,35 +113,56 @@ impl ScanChain {
     /// # Errors
     /// See [`StitchError`].
     pub fn stitch(n: &mut Netlist, links: Vec<ChainLink>) -> Result<Self, StitchError> {
+        Self::stitch_counted(n, links).map(|(chain, _)| chain)
+    }
+
+    /// [`ScanChain::stitch`], also returning how many fanout entries the
+    /// rewiring read: the muxes' scan pins move in one
+    /// [`Netlist::set_scan_sources`], so that count is linear in the
+    /// chain even when every mux starts on one placeholder net.
+    fn stitch_counted(
+        n: &mut Netlist,
+        links: Vec<ChainLink>,
+    ) -> Result<(Self, usize), StitchError> {
         if links.is_empty() {
             return Err(StitchError::Empty);
         }
         let scan_in = n.add_input("scan_in");
         let mut prev = scan_in;
+        let mut sources = Vec::new();
+        let mut broken = None;
         for (i, link) in links.iter().enumerate() {
             match *link {
                 ChainLink::Mux { mux, ff, .. } => {
                     debug_assert_eq!(n.kind(mux), GateKind::Mux);
-                    n.set_scan_source(mux, prev)?;
+                    sources.push((mux, prev));
                     prev = ff;
                 }
                 ChainLink::Path { from, ff, .. } => {
                     if i == 0 {
-                        return Err(StitchError::PathAtHead);
+                        broken = Some(StitchError::PathAtHead);
+                        break;
                     }
                     if from != prev {
-                        return Err(StitchError::BrokenPath {
+                        broken = Some(StitchError::BrokenPath {
                             position: i,
                             expected: prev,
                             actual: from,
                         });
+                        break;
                     }
                     prev = ff;
                 }
             }
         }
+        // The muxes ahead of a broken link fail first, as they would
+        // one at a time.
+        let scanned = n.set_scan_sources(&sources)?;
+        if let Some(e) = broken {
+            return Err(e);
+        }
         let scan_out = n.add_output("scan_out", prev)?;
-        Ok(ScanChain { scan_in, scan_out, links })
+        Ok((ScanChain { scan_in, scan_out, links }, scanned))
     }
 
     /// The chain's dedicated scan-in primary input.
@@ -278,6 +299,56 @@ mod tests {
         assert_eq!(chain.len(), 3);
         assert_eq!(chain.mux_and_path_counts(), (3, 0));
         n.validate().unwrap();
+    }
+
+    /// The full-scan flow's shape: `ffs` flip-flops, each behind a mux
+    /// whose scan pin waits on one shared stub input, every third one
+    /// followed by a path link to the next.
+    fn one_stub_chain(ffs: usize) -> (Netlist, Vec<ChainLink>) {
+        let mut n = Netlist::new("t");
+        let stub = n.add_input("scan_stub");
+        let mut links = Vec::new();
+        let mut prev = None;
+        for i in 0..ffs {
+            let d = n.add_input(format!("d{i}"));
+            let ff = n.add_gate(GateKind::Dff, format!("f{i}"));
+            n.connect(d, ff).unwrap();
+            match prev {
+                Some(from) if i % 3 == 2 => {
+                    links.push(ChainLink::Path { from, ff, inverting: false });
+                }
+                _ => {
+                    let mux = n.insert_scan_mux_at_pin(ff, 0, stub).unwrap();
+                    links.push(ChainLink::Mux { mux, ff, inverting: false });
+                }
+            }
+            prev = Some(ff);
+        }
+        (n, links)
+    }
+
+    #[test]
+    fn stitch_reads_the_stub_once_and_matches_one_edit_per_mux() {
+        for ffs in [1, 2, 30, 3_000] {
+            let (mut n, links) = one_stub_chain(ffs);
+            let muxes = links.iter().filter(|l| matches!(l, ChainLink::Mux { .. })).count();
+            // The oracle: one `set_scan_source` per mux, as stitching
+            // did before it moved them in one pass.
+            let mut oracle = n.clone();
+            let mut prev = oracle.add_input("scan_in");
+            for link in &links {
+                if let ChainLink::Mux { mux, .. } = *link {
+                    oracle.set_scan_source(mux, prev).unwrap();
+                }
+                prev = link.ff();
+            }
+            oracle.add_output("scan_out", prev).unwrap();
+            let (chain, scanned) = ScanChain::stitch_counted(&mut n, links).unwrap();
+            assert_eq!(scanned, muxes, "{ffs} flip-flops: only the stub's list is read");
+            assert_eq!(n, oracle, "{ffs} flip-flops");
+            assert_eq!(chain.mux_and_path_counts().0, muxes);
+            n.validate().unwrap();
+        }
     }
 
     #[test]

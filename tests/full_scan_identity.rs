@@ -12,18 +12,21 @@
 //!
 //! A change to path enumeration or TPGREED's internals must leave every
 //! digest as it is. The six circuits of the `paper_cold` benchmark
-//! workload and the two smoke circuits run in the default pass; the five
-//! large ones are `#[ignore]`d and run in release mode:
+//! workload, the two smoke circuits and a 25k-gate industrial design
+//! run in the default pass; the five large suite circuits and the
+//! 100k-gate industrial preset (thousands of scan muxes, and hundreds
+//! of SCOAP waves) are `#[ignore]`d and run in release mode:
 //!
 //! ```text
 //! cargo test --release --test full_scan_identity -- --include-ignored
 //! ```
 
-use scanpath::netlist::{write_blif, Conn, GateId};
+use scanpath::netlist::{write_blif, Conn, GateId, Netlist};
 use scanpath::scan::ChainLink;
 use scanpath::sim::Trit;
 use scanpath::tpi::flow::FullScanResult;
 use scanpath::tpi::FullScanFlow;
+use scanpath::workloads::industrial::{gen100k, generate_industrial, IndustrialSpec};
 use scanpath::workloads::{generate, smoke_suite, suite};
 
 /// FNV-1a, 64 bits.
@@ -136,6 +139,8 @@ const PINNED: &[(&str, u64)] = &[
     ("s35932", 0xb48c_45a2_4497_d30a),
     ("s38417", 0x4229_fb8e_68be_289f),
     ("s38584", 0x5329_16de_2012_29b4),
+    ("ind25k", 0xf3a5_6ffb_c6e5_65fb),
+    ("ind100k", 0xf165_2f21_5873_435d),
 ];
 
 fn assert_identical(name: &str) {
@@ -144,10 +149,13 @@ fn assert_identical(name: &str) {
         .chain(smoke_suite())
         .find(|s| s.name == name)
         .expect("suite or smoke circuit");
-    let n = generate(&spec);
-    let got = digest(&FullScanFlow::default().run(&n));
-    let pinned = PINNED.iter().find(|(c, _)| *c == name).map(|p| p.1);
-    assert_eq!(Some(got), pinned, "{name}: digest {got:#018x}");
+    assert_flow_identical(&generate(&spec));
+}
+
+fn assert_flow_identical(n: &Netlist) {
+    let got = digest(&FullScanFlow::default().run(n));
+    let pinned = PINNED.iter().find(|(c, _)| *c == n.name()).map(|p| p.1);
+    assert_eq!(Some(got), pinned, "{}: digest {got:#018x}", n.name());
 }
 
 #[test]
@@ -218,4 +226,15 @@ fn s38417() {
 #[ignore = "large circuit; run in release mode"]
 fn s38584() {
     assert_identical("s38584");
+}
+
+#[test]
+fn ind25k() {
+    assert_flow_identical(&generate_industrial(&IndustrialSpec::sized("ind25k", 25_000, 7)));
+}
+
+#[test]
+#[ignore = "large circuit; run in release mode"]
+fn ind100k() {
+    assert_flow_identical(&generate_industrial(&gen100k()));
 }
