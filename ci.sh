@@ -132,6 +132,18 @@ echo "== full-scan identity (release, includes the large circuits) =="
 # 25k and 100k industrial designs must keep their pinned digests.
 cargo test -q --release --test full_scan_identity -- --include-ignored
 
+echo "== adjacency-order identity (release, includes the 100k-gate design) =="
+# Every gate's fanin and fanout list, in order, after seeded netlist
+# edits that leave survivors on wide nets and after the full-scan flow
+# on the 25k and 100k industrial designs, must keep its pinned digest.
+cargo test -q --release --test adjacency_identity -- --include-ignored
+
+echo "== fingerprint identity (release, includes the 100k-gate design) =="
+# The structural fingerprint behind every cache key, over the BLIF round
+# trip of every suite and smoke circuit and the 25k and 100k industrial
+# designs, must keep its pinned value.
+cargo test -q --release --test fingerprint_identity -- --include-ignored
+
 echo "== partial-scan identity (release, includes the large circuits) =="
 # CB, TD-CB and TPTIME outputs on every suite and smoke circuit must keep
 # their pinned digests.

@@ -245,9 +245,10 @@ impl NetlistBuilder {
     /// in gate order, then adding each output would give. The build
     /// gets there in bulk: every name was interned when it was
     /// declared to the builder, so symbols resolve to gates by array
-    /// lookup, every fanin and fanout list is allocated once at its
-    /// final length, and the name arena and index move into the
-    /// netlist without a name being hashed again.
+    /// lookup, the fanin and fanout lists are laid out back to back in
+    /// two arenas, each allocated once at its final length, and the
+    /// name arena and index move into the netlist without a name being
+    /// hashed again.
     ///
     /// # Errors
     /// Fails on unknown or duplicate names, arity violations, or
@@ -255,14 +256,11 @@ impl NetlistBuilder {
     pub fn finish(self) -> Result<Netlist, NetlistError> {
         let NetlistBuilder { name, mut symbols, inputs, outputs, latches, gates, fanins } = self;
         let declared = inputs.len() + latches.len() + gates.len();
-        let mut n = Netlist::with_capacity(name, declared + outputs.len());
+        let mut n =
+            Netlist::with_capacity(name, declared + outputs.len(), fanins.len() + outputs.len());
         // The gate of each symbol, or `FREE` while its name is not
         // taken.
         let mut gate_of = vec![FREE; symbols.len()];
-        // Each gate's kind: a compact copy for the pin checks.
-        let mut kinds = Vec::with_capacity(declared + outputs.len());
-        // The number of fanin pins each gate drives.
-        let mut fanouts = vec![0u32; declared + outputs.len()];
         // Declare. An empty name gets `Netlist::add_gate`'s generated
         // one.
         let decls = inputs.iter().map(|&s| (GateKind::Input, s));
@@ -274,7 +272,6 @@ impl NetlistBuilder {
                 return Err(NetlistError::DuplicateName(symbols.name(s).to_string()));
             }
             gate_of[s.index()] = n.push_unindexed(kind, symbols.spans[s.index()]).0;
-            kinds.push(kind);
         }
         // Resolve every fanin in gate order, checking each pin as
         // `Netlist::connect` would.
@@ -284,15 +281,11 @@ impl NetlistBuilder {
             }
             let g = GateId::from_index(inputs.len() + i);
             let (first, end) = decl.fanins;
-            let mut list = Vec::with_capacity((end - first) as usize);
-            for &fin in &fanins[first as usize..end as usize] {
+            for (pin, &fin) in fanins[first as usize..end as usize].iter().enumerate() {
                 let src = symbols.gate(&gate_of, fin)?;
-                let pin = list.len();
-                Netlist::check_wiring((src, kinds[src.index()]), (g, decl.kind), pin)?;
-                fanouts[src.index()] += 1;
-                list.push(src);
+                Netlist::check_wiring((src, n.kind(src)), (g, decl.kind), pin)?;
+                n.push_fanin(g, src);
             }
-            n.set_fanins(g, list);
         }
         for &(port, src) in &outputs {
             let s = symbols.gate(&gate_of, src)?;
@@ -305,15 +298,13 @@ impl NetlistBuilder {
             let sym = symbols.unique(GateKind::Output, &name, n.gate_count(), &mut gate_of);
             let g = n.push_unindexed(GateKind::Output, symbols.spans[sym.index()]);
             gate_of[sym.index()] = g.0;
-            kinds.push(GateKind::Output);
-            Netlist::check_wiring((s, kinds[s.index()]), (g, GateKind::Output), 0)?;
-            fanouts[s.index()] += 1;
-            n.set_fanins(g, vec![s]);
+            Netlist::check_wiring((s, n.kind(s)), (g, GateKind::Output), 0)?;
+            n.push_fanin(g, s);
         }
         let Symbols { names, mut index, .. } = symbols;
         index.renumber(&gate_of);
         n.adopt_names(names, index);
-        n.wire_fanouts(&fanouts);
+        n.wire_fanouts();
         n.validate_built()?;
         debug_assert_eq!(n.validate(), Ok(()), "a bulk build mirrors fanins by construction");
         Ok(n)

@@ -39,14 +39,20 @@ use std::hash::{BuildHasher, RandomState};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone)]
 pub struct Netlist {
     name: String,
-    gates: Vec<Gate>,
-    /// Every gate name, back to back; each [`Gate`] holds its span.
+    /// The kind of every gate.
+    kinds: Vec<GateKind>,
+    /// Where every gate's name and lists sit.
+    places: Vec<Place>,
+    /// Every gate name, back to back.
     names: String,
     /// Name lookup over `names`.
     index: NameIndex,
+    /// Every gate's fanin nets, in pin order.
+    fanins: Arena<GateId>,
+    /// The `(sink, pin)` pairs of the net every gate drives.
+    fanouts: Arena<(GateId, u32)>,
     /// The dedicated test input `T` (1 = mission mode, 0 = test mode),
     /// created lazily by [`Netlist::ensure_test_input`].
     test_input: Option<GateId>,
@@ -54,15 +60,132 @@ pub struct Netlist {
     test_input_bar: Option<GateId>,
 }
 
-/// A gate instance: kind, name, fanins, fanout bookkeeping.
-#[derive(Clone)]
-struct Gate {
-    kind: GateKind,
-    /// `start..end` of the gate's name in [`Netlist::names`].
+/// Where a gate's name and lists sit: `start..end` of its name in
+/// [`Netlist::names`], and its spans of the two adjacency arenas.
+#[derive(Clone, Copy)]
+struct Place {
     name: (u32, u32),
-    fanins: Vec<GateId>,
-    /// `(sink, pin)` pairs of the net this gate drives.
-    fanouts: Vec<(GateId, u32)>,
+    fanin: Span,
+    fanout: Span,
+}
+
+/// A list's place in its [`Arena`]: `len` entries at `start`, with room
+/// for `cap`.
+#[derive(Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Span {
+    /// An empty list at offset `at`.
+    fn empty(at: usize) -> Self {
+        Span { start: arena_offset(at), len: 0, cap: 0 }
+    }
+}
+
+/// Many lists kept back to back in one buffer, each known by its
+/// [`Span`]. A list grows in place while it has spare capacity or ends
+/// the arena; otherwise it moves to the arena's end with room to
+/// double, leaving its old slots unused until the netlist is cloned.
+///
+/// Edits keep a `Vec`'s semantics: [`Arena::push`] appends and
+/// [`Arena::swap_remove`] moves the last entry into the hole, so every
+/// list holds what one `Vec` per list would.
+struct Arena<T>(Vec<T>);
+
+impl<T: Copy> Arena<T> {
+    #[inline]
+    fn get(&self, span: Span) -> &[T] {
+        &self.0[span.start as usize..(span.start + span.len) as usize]
+    }
+
+    #[inline]
+    fn get_mut(&mut self, span: Span) -> &mut [T] {
+        &mut self.0[span.start as usize..(span.start + span.len) as usize]
+    }
+
+    /// Appends `v` to the list at `span`.
+    #[inline]
+    fn push(&mut self, span: &mut Span, v: T) {
+        let items = &mut self.0;
+        if span.len == span.cap {
+            let end = items.len();
+            if span.len == 0 {
+                // Nothing to copy: the list restarts at the arena's end.
+                *span = Span::empty(end);
+            }
+            if (span.start + span.cap) as usize == end {
+                // The list ends the arena, so it grows in place.
+                items.push(v);
+                span.cap = arena_offset(items.len()) - span.start;
+                span.len += 1;
+                return;
+            }
+            // Move to the arena's end with room to double.
+            let (start, len) = (span.start as usize, span.len as usize);
+            items.extend_from_within(start..start + len);
+            items.resize(end + 2 * (len + 1), v);
+            span.start = arena_offset(end);
+            span.cap = arena_offset(items.len()) - span.start;
+        }
+        items[(span.start + span.len) as usize] = v;
+        span.len += 1;
+    }
+
+    /// Removes entry `at` of the list at `span`, moving the list's last
+    /// entry into its place, like `Vec::swap_remove`.
+    #[inline]
+    fn swap_remove(&mut self, span: &mut Span, at: usize) {
+        assert!(at < span.len as usize, "swap_remove index out of bounds");
+        span.len -= 1;
+        let start = span.start as usize;
+        self.0[start + at] = self.0[start + span.len as usize];
+    }
+
+    /// A copy holding only the lists that `pick` selects from `places`,
+    /// each at exact capacity; moves their spans to match.
+    fn compacted(&self, places: &mut [Place], pick: fn(&mut Place) -> &mut Span) -> Self {
+        let live: usize = places.iter_mut().map(|p| pick(p).len as usize).sum();
+        if live == self.0.len() {
+            // No slot is unused, so the arena is compact already.
+            return Arena(self.0.clone());
+        }
+        let mut items = Vec::with_capacity(live);
+        for place in places {
+            let span = pick(place);
+            let start = items.len();
+            items.extend_from_slice(self.get(*span));
+            *span = Span { start: arena_offset(start), len: span.len, cap: span.len };
+        }
+        Arena(items)
+    }
+}
+
+/// An adjacency-arena offset as stored in a [`Span`].
+fn arena_offset(at: usize) -> u32 {
+    u32::try_from(at).expect("netlist pins exceed 4 G")
+}
+
+impl Clone for Netlist {
+    /// A copy whose adjacency arenas are compacted.
+    fn clone(&self) -> Self {
+        let mut places = self.places.clone();
+        let fanins = self.fanins.compacted(&mut places, |p| &mut p.fanin);
+        let fanouts = self.fanouts.compacted(&mut places, |p| &mut p.fanout);
+        Netlist {
+            name: self.name.clone(),
+            kinds: self.kinds.clone(),
+            places,
+            names: self.names.clone(),
+            index: self.index.clone(),
+            fanins,
+            fanouts,
+            test_input: self.test_input,
+            test_input_bar: self.test_input_bar,
+        }
+    }
 }
 
 /// Open-addressing map from a name to a `u32` id, over names kept
@@ -189,7 +312,7 @@ pub(crate) fn span(names: &str, (start, end): (u32, u32)) -> &str {
     &names[start as usize..end as usize]
 }
 
-/// A name-arena offset as stored in a [`Gate`].
+/// A name-arena offset as stored in a name span.
 pub(crate) fn offset(at: usize) -> u32 {
     u32::try_from(at).expect("gate names exceed 4 GiB")
 }
@@ -199,7 +322,7 @@ impl PartialEq for Netlist {
         self.name == other.name
             && self.test_input == other.test_input
             && self.test_input_bar == other.test_input_bar
-            && self.gates.len() == other.gates.len()
+            && self.gate_count() == other.gate_count()
             && self.gate_ids().all(|g| {
                 self.kind(g) == other.kind(g)
                     && self.gate_name(g) == other.gate_name(g)
@@ -239,19 +362,25 @@ impl Netlist {
     pub fn new(name: impl Into<String>) -> Self {
         Netlist {
             name: name.into(),
-            gates: Vec::new(),
+            kinds: Vec::new(),
+            places: Vec::new(),
             names: String::new(),
             index: NameIndex::new(),
+            fanins: Arena(Vec::new()),
+            fanouts: Arena(Vec::new()),
             test_input: None,
             test_input_bar: None,
         }
     }
 
-    /// Bulk build: an empty netlist with room for `gates` gates and no
-    /// name index yet (see [`Netlist::adopt_names`]).
-    pub(crate) fn with_capacity(name: String, gates: usize) -> Self {
+    /// Bulk build: an empty netlist with room for `gates` gates and
+    /// `pins` fanin pins, and no name index yet (see
+    /// [`Netlist::adopt_names`]).
+    pub(crate) fn with_capacity(name: String, gates: usize, pins: usize) -> Self {
         let mut n = Netlist::new(name);
-        n.gates.reserve_exact(gates);
+        n.kinds.reserve_exact(gates);
+        n.places.reserve_exact(gates);
+        n.fanins.0.reserve_exact(pins);
         n
     }
 
@@ -266,7 +395,8 @@ impl Netlist {
     /// this to avoid incremental growth of the gate table and the name
     /// index on million-gate designs.
     pub fn reserve(&mut self, additional: usize) {
-        self.gates.reserve(additional);
+        self.kinds.reserve(additional);
+        self.places.reserve(additional);
         self.index.reserve(additional);
     }
 
@@ -279,12 +409,12 @@ impl Netlist {
     /// Number of gates (including ports, flip-flops and constants).
     #[inline]
     pub fn gate_count(&self) -> usize {
-        self.gates.len()
+        self.kinds.len()
     }
 
     /// Iterates over all gate ids in creation order.
     pub fn gate_ids(&self) -> impl Iterator<Item = GateId> + '_ {
-        (0..self.gates.len() as u32).map(GateId)
+        (0..self.kinds.len() as u32).map(GateId)
     }
 
     // ------------------------------------------------------------------
@@ -301,17 +431,17 @@ impl Netlist {
         if self.names.len() == start {
             self.names.push_str(kind.label());
             self.names[start..].make_ascii_lowercase();
-            write!(self.names, "_{}", self.gates.len()).expect("writing to a String");
+            write!(self.names, "_{}", self.gate_count()).expect("writing to a String");
         }
         self.index.reserve(1);
         let base = self.names.len();
-        let mut suffix = self.gates.len();
+        let mut suffix = self.gate_count();
         loop {
             let candidate = &self.names[start..];
             let hash = self.index.hash(candidate);
             match self
                 .index
-                .probe(hash, candidate, |id| span(&self.names, self.gates[id as usize].name))
+                .probe(hash, candidate, |id| span(&self.names, self.places[id as usize].name))
             {
                 Err(slot) => return self.push_gate(kind, start, hash, slot),
                 Ok(_) => {
@@ -327,9 +457,14 @@ impl Netlist {
     /// arena that [`Netlist::adopt_names`] installs next, without
     /// indexing the name.
     pub(crate) fn push_unindexed(&mut self, kind: GateKind, name: (u32, u32)) -> GateId {
-        assert!(self.gates.len() < FREE as usize, "netlist exceeds {FREE} gates");
-        let id = GateId(self.gates.len() as u32);
-        self.gates.push(Gate { kind, name, fanins: Vec::new(), fanouts: Vec::new() });
+        assert!(self.gate_count() < FREE as usize, "netlist exceeds {FREE} gates");
+        let id = GateId(self.gate_count() as u32);
+        self.kinds.push(kind);
+        self.places.push(Place {
+            name,
+            fanin: Span::empty(self.fanins.0.len()),
+            fanout: Span::empty(self.fanouts.0.len()),
+        });
         id
     }
 
@@ -338,7 +473,7 @@ impl Netlist {
     /// Runs once, after the last [`Netlist::push_unindexed`].
     pub(crate) fn adopt_names(&mut self, names: String, index: NameIndex) {
         debug_assert!(self.names.is_empty() && self.index.len == 0, "adopt_names runs once");
-        debug_assert_eq!(index.len, self.gates.len(), "the index names every gate");
+        debug_assert_eq!(index.len, self.gate_count(), "the index names every gate");
         self.names = names;
         self.index = index;
     }
@@ -351,31 +486,43 @@ impl Netlist {
         id
     }
 
-    /// Bulk build: gives `g` its complete fanin list, already checked by
-    /// [`Netlist::check_wiring`] pin by pin. The mirroring fanouts wait
-    /// for [`Netlist::wire_fanouts`].
-    pub(crate) fn set_fanins(&mut self, g: GateId, fanins: Vec<GateId>) {
-        self.gates[g.index()].fanins = fanins;
+    /// Bulk build: appends `src` to `g`'s fanin list, already checked
+    /// by [`Netlist::check_wiring`], and counts the pin in the capacity
+    /// of `src`'s still empty fanout list. Gates get their fanins in
+    /// gate order, so each fanin list grows in place at the arena's end
+    /// and ends at exact size. [`Netlist::wire_fanouts`] then lays out
+    /// the mirroring fanout lists.
+    #[inline]
+    pub(crate) fn push_fanin(&mut self, g: GateId, src: GateId) {
+        self.fanins.push(&mut self.places[g.index()].fanin, src);
+        self.places[src.index()].fanout.cap += 1;
     }
 
     /// Bulk build: wires every fanout list, at exact capacity, from the
-    /// fanin lists set by [`Netlist::set_fanins`], where `counts[g]`
-    /// is the number of fanin pins gate `g` drives. Each net lists its
-    /// sinks in (sink, pin) order, as sequential [`Netlist::connect`]
-    /// calls in gate order would have. Every fanout list must be empty.
-    pub(crate) fn wire_fanouts(&mut self, counts: &[u32]) {
-        for (gate, &count) in self.gates.iter_mut().zip(counts) {
-            debug_assert!(gate.fanouts.is_empty(), "wire_fanouts runs once, on a fresh build");
-            gate.fanouts = Vec::with_capacity(count as usize);
+    /// fanin lists given by [`Netlist::push_fanin`], with one counting
+    /// pass that lays the lists out back to back, in gate order. Each
+    /// net lists its sinks in (sink, pin) order, as sequential
+    /// [`Netlist::connect`] calls in gate order would have. Runs once,
+    /// after the last `push_fanin`.
+    pub(crate) fn wire_fanouts(&mut self) {
+        debug_assert!(self.fanouts.0.is_empty(), "wire_fanouts runs once, on a fresh build");
+        let mut total = 0u32;
+        for place in &mut self.places {
+            let count = place.fanout.cap;
+            place.fanout = Span { start: total, len: 0, cap: count };
+            total = total.checked_add(count).expect("netlist pins exceed 4 G");
         }
-        for sink in 0..self.gates.len() {
-            for pin in 0..self.gates[sink].fanins.len() {
-                let src = self.gates[sink].fanins[pin];
-                self.gates[src.index()].fanouts.push((GateId(sink as u32), pin as u32));
+        let items = &mut self.fanouts.0;
+        *items = vec![(GateId(0), 0); total as usize];
+        for sink in 0..self.places.len() {
+            for (pin, &src) in self.fanins.get(self.places[sink].fanin).iter().enumerate() {
+                let span = &mut self.places[src.index()].fanout;
+                items[(span.start + span.len) as usize] = (GateId(sink as u32), pin as u32);
+                span.len += 1;
             }
         }
         debug_assert!(
-            self.gates.iter().zip(counts).all(|(g, &c)| g.fanouts.len() == c as usize),
+            self.places.iter().all(|p| p.fanout.len == p.fanout.cap),
             "counts match the fanin lists"
         );
     }
@@ -408,10 +555,10 @@ impl Netlist {
     pub fn connect(&mut self, src: GateId, sink: GateId) -> Result<u32, NetlistError> {
         self.check(src)?;
         self.check(sink)?;
-        let pin = self.gates[sink.index()].fanins.len();
+        let pin = self.fanin(sink).len();
         Netlist::check_wiring((src, self.kind(src)), (sink, self.kind(sink)), pin)?;
-        self.gates[sink.index()].fanins.push(src);
-        self.gates[src.index()].fanouts.push((sink, pin as u32));
+        self.fanins.push(&mut self.places[sink.index()].fanin, src);
+        self.fanouts.push(&mut self.places[src.index()].fanout, (sink, pin as u32));
         Ok(pin as u32)
     }
 
@@ -449,17 +596,16 @@ impl Netlist {
     ) -> Result<(), NetlistError> {
         self.check_replace(sink, pin, new_src)?;
         let p = pin as usize;
-        let old_src = self.gates[sink.index()].fanins[p];
+        let old_src = self.fanin(sink)[p];
         if old_src == new_src {
             return Ok(());
         }
         // Remove (sink, pin) from old source's fanout list.
-        let outs = &mut self.gates[old_src.index()].fanouts;
-        if let Some(i) = outs.iter().position(|&(s, q)| s == sink && q == pin) {
-            outs.swap_remove(i);
+        if let Some(i) = self.fanout(old_src).iter().position(|&e| e == (sink, pin)) {
+            self.fanouts.swap_remove(&mut self.places[old_src.index()].fanout, i);
         }
-        self.gates[sink.index()].fanins[p] = new_src;
-        self.gates[new_src.index()].fanouts.push((sink, pin));
+        self.fanins.get_mut(self.places[sink.index()].fanin)[p] = new_src;
+        self.fanouts.push(&mut self.places[new_src.index()].fanout, (sink, pin));
         Ok(())
     }
 
@@ -492,26 +638,25 @@ impl Netlist {
         let mut read: HashSet<GateId> = HashSet::new();
         let mut scanned = 0;
         for &(sink, pin, new_src) in edits {
-            let old_src = self.gates[sink.index()].fanins[pin as usize];
+            let old_src = self.fanin(sink)[pin as usize];
             if old_src == new_src {
                 continue;
             }
-            let outs = &mut self.gates[old_src.index()].fanouts;
             if read.insert(old_src) {
+                let outs = self.fanout(old_src);
                 scanned += outs.len();
                 at.extend(outs.iter().enumerate().map(|(i, &e)| (e, i)));
             }
             if let Some(i) = at.remove(&(sink, pin)) {
-                outs.swap_remove(i);
-                if let Some(&moved) = outs.get(i) {
+                self.fanouts.swap_remove(&mut self.places[old_src.index()].fanout, i);
+                if let Some(&moved) = self.fanout(old_src).get(i) {
                     at.insert(moved, i);
                 }
             }
-            self.gates[sink.index()].fanins[pin as usize] = new_src;
-            let outs = &mut self.gates[new_src.index()].fanouts;
-            outs.push((sink, pin));
+            self.fanins.get_mut(self.places[sink.index()].fanin)[pin as usize] = new_src;
+            self.fanouts.push(&mut self.places[new_src.index()].fanout, (sink, pin));
             if read.contains(&new_src) {
-                at.insert((sink, pin), outs.len() - 1);
+                at.insert((sink, pin), self.fanout(new_src).len() - 1);
             }
         }
         scanned
@@ -521,10 +666,10 @@ impl Netlist {
     fn check_replace(&self, sink: GateId, pin: u32, new_src: GateId) -> Result<(), NetlistError> {
         self.check(sink)?;
         self.check(new_src)?;
-        if self.gates[new_src.index()].kind == GateKind::Output {
+        if self.kind(new_src) == GateKind::Output {
             return Err(NetlistError::NotASource(new_src));
         }
-        if pin as usize >= self.gates[sink.index()].fanins.len() {
+        if pin as usize >= self.fanin(sink).len() {
             return Err(NetlistError::NoSuchPin { gate: sink, pin });
         }
         Ok(())
@@ -536,7 +681,7 @@ impl Netlist {
 
     #[inline]
     fn check(&self, g: GateId) -> Result<(), NetlistError> {
-        if g.index() < self.gates.len() {
+        if g.index() < self.gate_count() {
             Ok(())
         } else {
             Err(NetlistError::UnknownGate(g))
@@ -546,30 +691,30 @@ impl Netlist {
     /// The kind of gate `g`.
     #[inline]
     pub fn kind(&self, g: GateId) -> GateKind {
-        self.gates[g.index()].kind
+        self.kinds[g.index()]
     }
 
     /// The name of gate `g` (also the name of the net it drives).
     #[inline]
     pub fn gate_name(&self, g: GateId) -> &str {
-        span(&self.names, self.gates[g.index()].name)
+        span(&self.names, self.places[g.index()].name)
     }
 
     /// Fanin nets of `g` in pin order.
     #[inline]
     pub fn fanin(&self, g: GateId) -> &[GateId] {
-        &self.gates[g.index()].fanins
+        self.fanins.get(self.places[g.index()].fanin)
     }
 
     /// Fanout `(sink, pin)` pairs of the net driven by `g`.
     #[inline]
     pub fn fanout(&self, g: GateId) -> &[(GateId, u32)] {
-        &self.gates[g.index()].fanouts
+        self.fanouts.get(self.places[g.index()].fanout)
     }
 
     /// Looks a gate up by name.
     pub fn find(&self, name: &str) -> Option<GateId> {
-        self.index.find(name, |id| span(&self.names, self.gates[id as usize].name)).map(GateId)
+        self.index.find(name, |id| span(&self.names, self.places[id as usize].name)).map(GateId)
     }
 
     /// Like [`Netlist::find`] but returns a descriptive error.
@@ -606,7 +751,7 @@ impl Netlist {
     pub fn connections(&self) -> Vec<Conn> {
         let mut v = Vec::new();
         for g in self.gate_ids() {
-            for (pin, &src) in self.gates[g.index()].fanins.iter().enumerate() {
+            for (pin, &src) in self.fanin(g).iter().enumerate() {
                 v.push(Conn::new(src, g, pin as u32));
             }
         }
@@ -669,8 +814,8 @@ impl Netlist {
     pub fn splice_on_net(&mut self, target: GateId, new_gate: GateId) -> Result<(), NetlistError> {
         self.check(target)?;
         self.check(new_gate)?;
-        let edits: Vec<(GateId, u32, GateId)> = self.gates[target.index()]
-            .fanouts
+        let edits: Vec<(GateId, u32, GateId)> = self
+            .fanout(target)
             .iter()
             .filter(|&&(s, _)| s != new_gate)
             .map(|&(sink, pin)| (sink, pin, new_gate))
@@ -763,10 +908,10 @@ impl Netlist {
         self.check(sink)?;
         self.check(scan_src)?;
         let p = pin as usize;
-        if p >= self.gates[sink.index()].fanins.len() {
+        if p >= self.fanin(sink).len() {
             return Err(NetlistError::NoSuchPin { gate: sink, pin });
         }
-        let orig = self.gates[sink.index()].fanins[p];
+        let orig = self.fanin(sink)[p];
         let t = self.ensure_test_input();
         let mux = self.add_gate(GateKind::Mux, format!("smux_{}", self.gate_name(sink)));
         self.connect(t, mux)?; // sel
@@ -826,23 +971,22 @@ impl Netlist {
         // and every pin slot must be hit exactly once. The naive form
         // (`fanouts.contains(..)` per fanin) is O(fanout²) per net and
         // takes minutes on million-gate designs with wide enable nets.
-        let mut offsets = Vec::with_capacity(self.gates.len());
+        let mut offsets = Vec::with_capacity(self.gate_count());
         let mut fanin_edges = 0usize;
-        for gate in &self.gates {
+        for place in &self.places {
             offsets.push(fanin_edges);
-            fanin_edges += gate.fanins.len();
+            fanin_edges += place.fanin.len as usize;
         }
         let mut seen = vec![false; fanin_edges];
         let mut fanout_edges = 0usize;
         for g in self.gate_ids() {
             self.check_arity(g)?;
-            let gate = &self.gates[g.index()];
-            for &src in &gate.fanins {
+            for &src in self.fanin(g) {
                 self.check(src)?;
             }
-            for &(sink, pin) in &gate.fanouts {
+            for &(sink, pin) in self.fanout(g) {
                 self.check(sink)?;
-                if self.gates[sink.index()].fanins.get(pin as usize) != Some(&g) {
+                if self.fanin(sink).get(pin as usize) != Some(&g) {
                     return Err(NetlistError::NoSuchPin { gate: sink, pin });
                 }
                 let slot = offsets[sink.index()] + pin as usize;
@@ -856,7 +1000,7 @@ impl Netlist {
         if fanout_edges != fanin_edges {
             // Some fanin pin has no mirroring fanout entry; name it.
             for g in self.gate_ids() {
-                for pin in 0..self.gates[g.index()].fanins.len() {
+                for pin in 0..self.fanin(g).len() {
                     if !seen[offsets[g.index()] + pin] {
                         return Err(NetlistError::NoSuchPin { gate: g, pin: pin as u32 });
                     }
@@ -879,14 +1023,14 @@ impl Netlist {
     }
 
     fn check_arity(&self, g: GateId) -> Result<(), NetlistError> {
-        let gate = &self.gates[g.index()];
-        let actual = gate.fanins.len();
-        let expected = match gate.kind.fixed_arity() {
+        let kind = self.kind(g);
+        let actual = self.fanin(g).len();
+        let expected = match kind.fixed_arity() {
             Some(expected) if actual != expected => expected,
             None if actual == 0 => 1,
             _ => return Ok(()),
         };
-        Err(NetlistError::ArityUnderflow { gate: g, kind: gate.kind, expected, actual })
+        Err(NetlistError::ArityUnderflow { gate: g, kind, expected, actual })
     }
 
     fn check_acyclic(&self) -> Result<(), NetlistError> {
@@ -1093,7 +1237,7 @@ mod tests {
                 let tp = n.add_gate(GateKind::And, "tp");
                 n.connect(t, tp).unwrap();
                 n.connect(a, tp).unwrap();
-                let list = &mut n.gates[a.index()].fanouts;
+                let list = n.fanouts.get_mut(n.places[a.index()].fanout);
                 let last = list.len() - 1;
                 list.swap(own_at.min(last), last);
                 n.connect(a, tp).unwrap();
@@ -1179,6 +1323,49 @@ mod tests {
         let err = n.set_scan_sources(&[(g, a)]).unwrap_err();
         assert_eq!(err, NetlistError::NoSuchPin { gate: g, pin: 1 });
         assert_eq!(n.fanin(g), &[a, b]);
+    }
+
+    #[test]
+    fn arena_lists_hold_what_a_vec_per_list_would() {
+        use rand::prelude::*;
+        let unplaced = Place { name: (0, 0), fanin: Span::empty(0), fanout: Span::empty(0) };
+        for seed in 0..32u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut arena: Arena<u32> = Arena(Vec::new());
+            let mut places: Vec<Place> = Vec::new();
+            let mut oracle: Vec<Vec<u32>> = Vec::new();
+            for step in 0..2_000u32 {
+                match rng.gen_range(0..10) {
+                    0 => {
+                        places.push(Place { fanin: Span::empty(arena.0.len()), ..unplaced });
+                        oracle.push(Vec::new());
+                    }
+                    // Two lists in turn, so neither stays at the end.
+                    1..=6 if !oracle.is_empty() => {
+                        for _ in 0..2 {
+                            let i = rng.gen_range(0..oracle.len());
+                            arena.push(&mut places[i].fanin, step);
+                            oracle[i].push(step);
+                        }
+                    }
+                    7 | 8 if !oracle.is_empty() => {
+                        let i = rng.gen_range(0..oracle.len());
+                        if !oracle[i].is_empty() {
+                            let at = rng.gen_range(0..oracle[i].len());
+                            arena.swap_remove(&mut places[i].fanin, at);
+                            oracle[i].swap_remove(at);
+                        }
+                    }
+                    _ => arena = arena.compacted(&mut places, |p| &mut p.fanin),
+                }
+                for (place, list) in places.iter().zip(&oracle) {
+                    assert_eq!(arena.get(place.fanin), &list[..], "seed {seed}, step {step}");
+                }
+            }
+            let compact = arena.compacted(&mut places, |p| &mut p.fanin);
+            let live: usize = oracle.iter().map(Vec::len).sum();
+            assert_eq!(compact.0.len(), live, "a compacted arena has no unused slot");
+        }
     }
 
     #[test]

@@ -98,8 +98,18 @@ impl fmt::Display for CacheKey {
 /// commutative kinds (AND/OR/NAND/NOR/XOR/XNOR), in pin order for the
 /// rest (BUF/INV/MUX) — so the parser's invented names never matter.
 pub fn netlist_fingerprint(n: &Netlist) -> u64 {
-    let mut cones =
-        Cones { n, memo: vec![None; n.gate_count()], stack: Vec::new(), fanin_hashes: Vec::new() };
+    let mut cones = Cones {
+        n,
+        memo: vec![None; n.gate_count()],
+        stack: Vec::new(),
+        fanin_hashes: Vec::new(),
+        midstates: GateKind::ALL.map(|kind| {
+            let mut h = Fnv64::new();
+            h.write_str("gate");
+            h.write_str(kind.label());
+            h
+        }),
+    };
     let mut hash_of = |root: GateId| -> u64 { cones.hash(root) };
 
     let mut inputs: Vec<&str> = n.inputs().iter().map(|&g| n.gate_name(g)).collect();
@@ -156,12 +166,15 @@ struct Cones<'n> {
     /// a gate is hashed once all its fanins are.
     stack: Vec<(GateId, bool)>,
     fanin_hashes: Vec<u64>,
+    /// Per kind, in [`GateKind::ALL`] order, the hasher after the
+    /// prefix every combinational gate of that kind starts with.
+    midstates: [Fnv64; GateKind::ALL.len()],
 }
 
 impl Cones<'_> {
     /// DAG hash of the cone rooted at `root`.
     fn hash(&mut self, root: GateId) -> u64 {
-        let Cones { n, memo, stack, fanin_hashes } = self;
+        let Cones { n, memo, stack, fanin_hashes, midstates } = self;
         stack.push((root, false));
         while let Some((g, expanded)) = stack.pop() {
             if memo[g.index()].is_some() {
@@ -198,9 +211,8 @@ impl Cones<'_> {
             if commutative(kind) {
                 fanin_hashes.sort_unstable();
             }
-            let mut h = Fnv64::new();
-            h.write_str("gate");
-            h.write_str(kind.label());
+            debug_assert_eq!(GateKind::ALL[kind as usize], kind, "ALL is in declaration order");
+            let mut h = midstates[kind as usize].clone();
             h.write_u64(fanin_hashes.len() as u64);
             for &fh in fanin_hashes.iter() {
                 h.write_u64(fh);

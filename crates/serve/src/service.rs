@@ -350,8 +350,8 @@ impl JobService {
             let mut parsed = None;
             let report = execute(&shared, id, spec, &worker_progress, submitted_at, &mut parsed);
             notify(report);
-            // Freeing a 100k-gate netlist takes ~20 ms; the caller has
-            // its report by now.
+            // Freeing a 100k-gate netlist takes 1-2 ms (a few buffers);
+            // the caller has its report by now.
             drop(parsed);
         });
         JobTicket { id, progress }

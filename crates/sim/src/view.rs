@@ -1,12 +1,14 @@
 //! Structure-of-arrays netlist view shared by the simulation engines.
 //!
-//! [`Netlist`] stores gates as an array of structs, each owning its own
-//! fanin/fanout vectors; walking a fanout cone hops through one heap
-//! allocation per gate. The engines in this crate ([`crate::Implication`]
-//! and [`crate::LaneEngine`]) instead walk a [`NetView`]: contiguous
-//! kind / fanin / combinational-fanout index arrays in CSR layout plus
-//! the topological order, built once per analysis run and shared between
-//! engines (and their per-worker clones) through an [`Arc`].
+//! [`Netlist`] keeps every fanin and fanout list in one of two arenas,
+//! one span per gate, with room left for edits: a list may sit anywhere
+//! in its arena, and a fanout list holds every sink, flip-flops and
+//! output ports included. The engines in this crate
+//! ([`crate::Implication`] and [`crate::LaneEngine`]) instead walk a
+//! [`NetView`]: contiguous kind / fanin / combinational-fanout index
+//! arrays in CSR layout, in gate order, plus the topological order,
+//! built once per analysis run and shared between engines (and their
+//! per-worker clones) through an [`Arc`].
 //!
 //! The view is a *snapshot*: it indexes the netlist by gate position, so
 //! it stays valid only while the netlist is not mutated. Every consumer
